@@ -2,19 +2,28 @@
 polynomials, Vandermonde component extraction, the finite/infinite
 annihilator dichotomy, derived bounds and the S3 expansion report.
 
-Every check returns a Verdict. A counterexample Verdict always carries a
-witness that an independent evaluation path reproduces: exhaustive scans
-run on precomputed index tables and are re-verified through the plain
-matrix evaluator, while random scans search with the plain evaluator and
-are re-verified by a separate term-by-term recomputation. The two paths
-share nothing beyond the ring primitives, so a bug in one cannot silently
-confirm itself.
+Every search has one shape. `_draws` produces the candidates, either the
+canonical enumeration (exhaustive mode) or seeded samples (random mode);
+`_first_hit` stops at the first violation and counts the evaluations up
+to it; and `_counterexample` is the only code that builds a counterexample
+Verdict. It refuses a missing witness and raises SolveError unless an
+evaluator the search did not use reproduces the hit. The one rule is that
+search and confirmation never use the same evaluator:
+
+- hits of the index-table kernels are confirmed by `evaluate`, which also
+  supplies the reported value;
+- hits of `evaluate` and `q_evaluate` are confirmed by `_plain_eval`, a
+  term-by-term fold with no tables and no power or inverse caches;
+- group identities are searched with `_plain_eval` and confirmed by
+  `evaluate`;
+- the nil searches recompute their witnesses with matrix products taken
+  in a different order, and powers taken another way, than the search.
 
 Exhaustive scans enumerate tuples in row-major order over the canonical
 element enumeration and report the first violation, which makes verdicts
 reproducible and independent of how the work is partitioned: with several
-workers each chunk reports its earliest hit and the lexicographically
-smallest one wins.
+workers each contiguous chunk of the first variable reports its earliest
+hit, and evaluations are counted only up to the first chunk with a hit.
 """
 
 import itertools
@@ -63,10 +72,94 @@ def _verdict(outcome, t0, **kw):
     return Verdict(outcome=outcome, elapsed_ms=int((time.monotonic() - t0) * 1000), **kw)
 
 
-def _make_rng(seed):
+# ---------------------------------------------------------------------------
+# the search layer
+
+
+def _draws(mode, exhaustive, sample, budget, seed):
+    """The candidate stream of a search: exhaustive() in canonical order,
+    or sample(rng) drawn budget times from a generator seeded with seed.
+    This is the only place that accepts or rejects a mode."""
+    if mode == "exhaustive":
+        return exhaustive()
+    if mode != "random":
+        raise PreconditionError(f"unknown mode {mode!r}")
     # string-seeding goes through a stable hash, so substreams derived as
     # f"{seed}/{i}" reproduce across runs and platforms
-    return random.Random(seed)
+    rng = random.Random(seed)
+    return (sample(rng) for _ in range(budget))
+
+
+def _first_hit(draws):
+    """Walk (hit, evaluations) draws, hit being None for a miss, to the
+    first hit. Returns that hit (None when all miss) and the evaluations
+    spent up to and including it, so an exhaustive count is the hit's
+    position in canonical order."""
+    evaluations = 0
+    for hit, count in draws:
+        evaluations += count
+        if hit is not None:
+            return hit, evaluations
+    return None, evaluations
+
+
+def _nonzero_at(evaluator, e, assignment):
+    """One draw of a vanishing search: the witness when e does not vanish
+    at the assignment, else None."""
+    value = evaluator(e, assignment)
+    return (None if value.is_zero() else {"assignment": assignment, "value": value}), 1
+
+
+def _reproduced_by(evaluator, e):
+    """A confirmation: the evaluator gives the witness's nonzero value."""
+    return lambda w: not w["value"].is_zero() and evaluator(e, w["assignment"]) == w["value"]
+
+
+def _counterexample(t0, witness, confirm, **kw):
+    """The only code that builds a counterexample Verdict. The witness must
+    exist and confirm, which uses an evaluator the search did not, must
+    reproduce it; anything else is an implementation bug."""
+    if witness is None:
+        raise SolveError("counterexample without a witness; implementation bug")
+    if not confirm(witness):
+        raise SolveError("search and re-verification disagree; implementation bug")
+    return _verdict("counterexample", t0, witness=witness, **kw)
+
+
+def _search_verdict(t0, witness, confirm, mode, seed, evaluations, details):
+    """holds, noting when only random samples were searched, or a confirmed
+    counterexample."""
+    if witness is None:
+        if mode == "random":
+            details["note"] = "random search only"
+        return _verdict("holds", t0, mode=mode, seed=seed, evaluations=evaluations,
+                        details=details)
+    return _counterexample(t0, witness, confirm, mode=mode, seed=seed,
+                           evaluations=evaluations, details=details)
+
+
+def _plain_eval(e, assignment):
+    """Evaluate e at an assignment {generator: Matrix or QuotientElement}
+    term by term, with nothing but mul, add, scale and, for negative
+    exponents of a matrix, mat_inverse: no tables and no power or inverse
+    caches. It confirms the hits of evaluate and q_evaluate, so search and
+    confirmation never share an evaluation loop."""
+    some = next(iter(assignment.values()))
+    emb = embed_into(e.ring, some.ring)
+    total = some.zero_like()
+    for w, c in e.terms.items():
+        prod = some.one_like()
+        for g, x in w.syllables:
+            m = assignment[g]
+            if x < 0:
+                m = mat_inverse(m) if isinstance(m, Matrix) else None
+                if m is None:
+                    raise PreconditionError(f"x{g} has no inverse for its negative exponent")
+                x = -x
+            for _ in range(x):
+                prod = prod.mul(m)
+        total = total.add(prod.scale(emb(c)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +172,7 @@ class _Tables:
     Products, sums and negations become single list lookups, which is what
     lets pure Python sweep tens of thousands of tuples in a second. Only
     built when the element count stays small; N**2 table entries are paid
-    once per (algebra, process).
+    once per scan and once more in each worker.
     """
 
     def __init__(self, algebra, cap=DEFAULT_CAP):
@@ -109,18 +202,6 @@ class _Tables:
 
     def scalar_index(self, ring_value):
         return self.index[self.algebra.identity().scale(ring_value)]
-
-
-_TABLE_MEMO = {}
-
-
-def _tables_for(algebra, cap=DEFAULT_CAP):
-    key = algebra.descriptor()
-    hit = _TABLE_MEMO.get(key)
-    if hit is None:
-        hit = _Tables(algebra, cap)
-        _TABLE_MEMO[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +352,33 @@ def _scan_standard(tb, k, ground, outer_range):
     return witness, evaluations
 
 
+def _scan(tb, e, standard, ground, outer_range):
+    if standard:
+        return _scan_standard(tb, len(e.variables()), ground, outer_range)
+    return _scan_generic(tb, e, ground, outer_range)
+
+
 def _scan_chunk(payload):
     """Worker entry point: rebuild the algebra and the element from plain
     data, scan one slice of the outermost variable, report the earliest
     hit. Everything crossing the process boundary is primitives."""
-    (descriptor, kind, element_data, ground_kind, start, stop, cap) = payload
+    (descriptor, standard, element_data, ground_kind, start, stop, cap) = payload
     algebra = parse_algebra(descriptor)
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
-    outer = range(start, stop)
-    if kind[0] == "standard":
-        witness, evaluations = _scan_standard(tb, kind[1], ground, outer)
-    else:
-        ring = algebra.ring
-        e = LaurentElement(ring, [(Word(s), c) for s, c in element_data])
-        witness, evaluations = _scan_generic(tb, e, ground, outer)
-    return witness, evaluations
+    e = LaurentElement(algebra.ring, [(Word(s), c) for s, c in element_data])
+    return _scan(tb, e, standard, ground, range(start, stop))
 
 
-def _run_scan(algebra, e, kind, ground_kind, cap, workers):
-    tb = _tables_for(algebra, cap)
+def _run_scan(algebra, e, standard, ground_kind, cap, workers):
+    """Scan the tuple space on the tables. Returns the (hit, evaluations)
+    pair of each chunk in canonical order, a hit being a tuple of matrices,
+    plus the ground size and the tuple space. Chunks split the first
+    variable's positions into contiguous ranges, so the first chunk with a
+    hit holds the earliest one. standard selects the S_k subset DP."""
+    tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
-    nvars = kind[1] if kind[0] == "standard" else len(e.variables())
+    nvars = len(e.variables())
     space = len(ground) ** nvars if nvars else 1
     if space > cap:
         raise CapExceeded(
@@ -300,59 +386,51 @@ def _run_scan(algebra, e, kind, ground_kind, cap, workers):
         )
     if workers > 1 and len(ground) >= workers and nvars > 0:
         bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
-        element_data = (
-            None
-            if kind[0] == "standard"
-            else [(w.syllables, c) for w, c in e.terms_sorted()]
-        )
+        element_data = [(w.syllables, c) for w, c in e.terms_sorted()]
         payloads = [
-            (algebra.descriptor(), kind, element_data, ground_kind, a, b, cap)
+            (algebra.descriptor(), standard, element_data, ground_kind, a, b, cap)
             for a, b in zip(bounds, bounds[1:])
             if a < b
         ]
-        hits = []
-        evaluations = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for witness, count in pool.map(_scan_chunk, payloads):
-                evaluations += count
-                if witness is not None:
-                    hits.append(witness)
-        witness = min(hits) if hits else None
+            chunks = list(pool.map(_scan_chunk, payloads))
     else:
-        outer = range(len(ground))
-        if kind[0] == "standard":
-            witness, evaluations = _scan_standard(tb, kind[1], ground, outer)
-        else:
-            witness, evaluations = _scan_generic(tb, e, ground, outer)
-    mats = None if witness is None else tuple(tb.elements[i] for i in witness)
-    return mats, evaluations, len(ground), space
-
-
-def _independent_eval(e, assignment):
-    """Recompute e at an assignment without tables, power caches or any of
-    the scan machinery; used to double-check witnesses found by the plain
-    evaluator so that search and confirmation never share a loop."""
-    mats = {i + 1: m for i, m in enumerate(assignment)} if not isinstance(assignment, dict) else assignment
-    some = next(iter(mats.values()))
-    emb = embed_into(e.ring, some.ring)
-    total = some.zero_like()
-    for w, c in e.terms.items():
-        prod = some.one_like()
-        for g, x in w.syllables:
-            m = mats[g]
-            if x < 0:
-                m = mat_inverse(m)
-                if m is None:
-                    raise PreconditionError("witness uses a non-unit at a negative exponent")
-                x = -x
-            for _ in range(x):
-                prod = prod.mul(m)
-        total = total.add(prod.scale(emb(c)))
-    return total
+        chunks = [_scan(tb, e, standard, ground, range(len(ground)))]
+    E = tb.elements
+    chunks = [(None if hit is None else tuple(E[i] for i in hit), count)
+              for hit, count in chunks]
+    return chunks, len(ground), space
 
 
 # ---------------------------------------------------------------------------
 # identity checks
+
+
+def _identity_search(t0, algebra, e, standard, ground_kind, mode, budget, seed, cap,
+                     workers, details):
+    """The search behind check_lpi and al_verify: the table kernels in
+    exhaustive mode, evaluate at seeded samples in random mode. Either way
+    the witness carries evaluate's value and _plain_eval must reproduce
+    it."""
+    vars_sorted = sorted(e.variables())
+
+    def scan():
+        chunks, ground_size, space = _run_scan(algebra, e, standard, ground_kind, cap, workers)
+        details.update(ground=ground_kind, ground_size=ground_size, tuple_space=space)
+        for hit, count in chunks:
+            if hit is not None:
+                assignment = dict(zip(vars_sorted, hit))
+                hit = {"assignment": assignment, "value": evaluate(e, assignment)}
+            yield hit, count
+
+    draw = algebra.sample_unit if ground_kind == "units" else algebra.sample_element
+
+    def sample(rng):
+        return _nonzero_at(evaluate, e, {g: draw(rng) for g in vars_sorted})
+
+    witness, evaluations = _first_hit(_draws(mode, scan, sample, budget, seed))
+    return _search_verdict(t0, witness, _reproduced_by(_plain_eval, e), mode, seed,
+                           evaluations, details)
 
 
 def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
@@ -375,53 +453,16 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     if csum != algebra.ring.zero:
         ident = algebra.identity()
         assignment = {g: ident for g in (sorted(e.variables()) or [1])}
-        value = _independent_eval(e, assignment)
-        return _verdict(
-            "counterexample", t0, mode=mode, seed=seed, evaluations=1,
-            witness={"assignment": assignment, "value": value},
+        return _counterexample(
+            t0, {"assignment": assignment, "value": evaluate(e, assignment)},
+            _reproduced_by(_plain_eval, e), mode=mode, seed=seed, evaluations=1,
             details={
                 "ground": ground_kind,
                 "prefilter": "coefficient sum is nonzero, the identity tuple violates",
             },
         )
-    if mode == "exhaustive":
-        mats, evaluations, ground_size, space = _run_scan(
-            algebra, e, ("generic",), ground_kind, cap, workers
-        )
-        details = {"ground": ground_kind, "ground_size": ground_size, "tuple_space": space}
-        if mats is None:
-            return _verdict("holds", t0, mode=mode, seed=seed,
-                            evaluations=evaluations, details=details)
-        vars_sorted = sorted(e.variables())
-        assignment = {g: m for g, m in zip(vars_sorted, mats)}
-        value = evaluate(e, assignment)
-        if value.is_zero():
-            raise SolveError("scan and re-verification disagree; implementation bug")
-        return _verdict(
-            "counterexample", t0, mode=mode, seed=seed, evaluations=evaluations,
-            witness={"assignment": assignment, "value": value}, details=details,
-        )
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    rng = _make_rng(seed)
-    vars_sorted = sorted(e.variables())
-    for k in range(budget):
-        if ground_kind == "units":
-            assignment = {g: algebra.sample_unit(rng) for g in vars_sorted}
-        else:
-            assignment = {g: algebra.sample_element(rng) for g in vars_sorted}
-        value = evaluate(e, assignment)
-        if not value.is_zero():
-            check = _independent_eval(e, assignment)
-            if check.is_zero():
-                raise SolveError("random hit failed re-verification; implementation bug")
-            return _verdict(
-                "counterexample", t0, mode=mode, seed=seed, evaluations=k + 1,
-                witness={"assignment": assignment, "value": value},
-                details={"ground": ground_kind},
-            )
-    return _verdict("holds", t0, mode=mode, seed=seed, evaluations=budget,
-                    details={"ground": ground_kind, "note": "random search only"})
+    return _identity_search(t0, algebra, e, False, ground_kind, mode, budget, seed, cap,
+                            workers, {"ground": ground_kind})
 
 
 def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
@@ -432,99 +473,46 @@ def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
 
     algebra = Algebra("M", n, PrimeField(p))
     k = 2 * n
-    if mode == "exhaustive":
-        mats, evaluations, ground_size, space = _run_scan(
-            algebra, None, ("standard", k), "elements", cap, workers
-        )
-        details = {"identity": f"S_{k}", "ground": "elements",
-                   "ground_size": ground_size, "tuple_space": space}
-        if mats is None:
-            return _verdict("holds", t0, mode=mode, seed=seed,
-                            evaluations=evaluations, details=details)
-        e = standard_polynomial(k, algebra.ring)
-        value = evaluate(e, mats)
-        if value.is_zero():
-            raise SolveError("scan and re-verification disagree; implementation bug")
-        return _verdict("counterexample", t0, mode=mode, seed=seed,
-                        evaluations=evaluations,
-                        witness={"assignment": dict(enumerate(mats, start=1)), "value": value},
-                        details=details)
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    rng = _make_rng(seed)
-    e = standard_polynomial(k, algebra.ring)
-    for i in range(budget):
-        assignment = tuple(algebra.sample_element(rng) for _ in range(k))
-        value = evaluate(e, assignment)
-        if not value.is_zero():
-            check = _independent_eval(e, assignment)
-            if check.is_zero():
-                raise SolveError("random hit failed re-verification; implementation bug")
-            return _verdict("counterexample", t0, mode=mode, seed=seed, evaluations=i + 1,
-                            witness={"assignment": dict(enumerate(assignment, start=1)),
-                                     "value": value},
-                            details={"identity": f"S_{k}"})
-    return _verdict("holds", t0, mode=mode, seed=seed, evaluations=budget,
-                    details={"identity": f"S_{k}", "note": "random search only"})
-
-
-def _eval_word(w, assignment):
-    some = next(iter(assignment.values()))
-    out = some.one_like()
-    for g, x in w.syllables:
-        m = assignment[g]
-        if x < 0:
-            m = mat_inverse(m)
-            if m is None:
-                raise PreconditionError("group identity evaluated at a non-unit")
-            x = -x
-        out = out.mul(m.power(x))
-    return out
+    return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), True,
+                            "elements", mode, budget, seed, cap, workers,
+                            {"identity": f"S_{k}"})
 
 
 def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
                          seed=None, cap=DEFAULT_CAP):
-    """Does the word evaluate to the identity matrix on every unit tuple?"""
+    """Does the word evaluate to the identity matrix on every unit tuple?
+
+    The search folds the word with _plain_eval; evaluate confirms a hit."""
     t0 = time.monotonic()
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
     vars_sorted = sorted(w.variables())
+    word = LaurentElement(ZZ, [(w, 1)])
     ident = algebra.identity()
-    if mode == "exhaustive":
+    details = {}
+
+    def probe(assignment):
+        value = _plain_eval(word, assignment)
+        return (None if value == ident else {"assignment": assignment, "value": value}), 1
+
+    def tuples():
         units = list(algebra.enumerate_units(cap))
         space = len(units) ** len(vars_sorted)
         if space > cap:
             raise CapExceeded(f"unit tuple space {space} exceeds the cap {cap}")
-        evaluations = 0
+        details["units"] = len(units)
         for combo in itertools.product(units, repeat=len(vars_sorted)):
-            assignment = dict(zip(vars_sorted, combo))
-            evaluations += 1
-            if _eval_word(w, assignment) != ident:
-                from .group_algebra import gi_to_lpi
+            yield probe(dict(zip(vars_sorted, combo)))
 
-                check = _independent_eval(gi_to_lpi(w), assignment)
-                if check.is_zero():
-                    raise SolveError("witness failed re-verification; implementation bug")
-                return _verdict("counterexample", t0, mode=mode, seed=seed,
-                                evaluations=evaluations,
-                                witness={"assignment": assignment,
-                                         "value": _eval_word(w, assignment)},
-                                details={"units": len(units)})
-        return _verdict("holds", t0, mode=mode, seed=seed, evaluations=evaluations,
-                        details={"units": len(units)})
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    rng = _make_rng(seed)
-    for i in range(budget):
-        assignment = {g: algebra.sample_unit(rng) for g in vars_sorted}
-        if _eval_word(w, assignment) != ident:
-            return _verdict("counterexample", t0, mode=mode, seed=seed, evaluations=i + 1,
-                            witness={"assignment": assignment,
-                                     "value": _eval_word(w, assignment)},
-                            details={})
-    return _verdict("holds", t0, mode=mode, seed=seed, evaluations=budget,
-                    details={"note": "random search only"})
+    def sample(rng):
+        return probe({g: algebra.sample_unit(rng) for g in vars_sorted})
+
+    def confirm(hit):
+        return hit["value"] != ident and evaluate(word, hit["assignment"]) == hit["value"]
+
+    witness, evaluations = _first_hit(_draws(mode, tuples, sample, budget, seed))
+    return _search_verdict(t0, witness, confirm, mode, seed, evaluations, details)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +596,9 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     nilpotent matrix, so this is decidable) are counted and the first one
     becomes a counterexample witness: no m works for them, which is
     exactly the situation the e11 example warns about. The verdict is
-    holds only when every product was nilpotent within m_max.
+    holds only when every product was nilpotent within m_max; otherwise
+    the first product that is not nilpotent, or else the first past m_max,
+    is the witness. Random mode runs the same survey over seeded samples.
     """
     t0 = time.monotonic()
     n = algebra.n
@@ -616,8 +606,10 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     if bound is None:
         raise PreconditionError("m_max must be >= 1")
     hard_bound = n  # nilpotence is settled at the dimension
-    if mode == "exhaustive":
-        tb = _tables_for(algebra, cap)
+    details = {}
+
+    def quadruples():
+        tb = _Tables(algebra, cap)
         sq0 = [i for i in range(tb.n) if tb.mul[i][i] == tb.zero]
         pairs = [
             (b, c)
@@ -628,103 +620,70 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
         total = len(sq0) * len(pairs) * tb.n
         if total > cap:
             raise CapExceeded(f"{total} quadruples exceed the cap {cap}")
-        MUL = tb.mul
-        examined = 0
-        minimal_m = 1
-        m_witness = None
-        non_nilpotent = 0
-        first_bad = None
-        over_mmax = None
+        details.update(square_zero=len(sq0), annihilating_pairs=len(pairs))
+        E, MUL = tb.elements, tb.mul
         for a in sq0:
             for b, c in pairs:
                 bac = MUL[MUL[b][a]][c]
                 for u in range(tb.n):
-                    examined += 1
                     v = MUL[bac][u]
-                    k = _nil_index(tb, v, hard_bound)
-                    if k is None:
-                        non_nilpotent += 1
-                        if first_bad is None:
-                            first_bad = (a, b, c, u, v)
-                    else:
-                        if k > minimal_m:
-                            minimal_m = k
-                            m_witness = (a, b, c, u, v)
-                        if k > bound and over_mmax is None:
-                            over_mmax = (a, b, c, u, v)
-        details = {
-            "quadruples": examined,
-            "square_zero": len(sq0),
-            "annihilating_pairs": len(pairs),
-            "non_nilpotent": non_nilpotent,
-            "minimal_m_nilpotent": minimal_m,
-            "m_max": bound,
-        }
-        if m_witness is not None:
-            details["index_witness"] = _quad_witness(tb, m_witness)
-        if non_nilpotent:
-            witness = _quad_witness(tb, first_bad)
-            _reverify_quad(algebra, witness, None, hard_bound)
-            return _verdict("counterexample", t0, mode=mode, seed=seed,
-                            evaluations=examined, witness=witness, details=details)
-        if over_mmax is not None:
-            witness = _quad_witness(tb, over_mmax)
-            _reverify_quad(algebra, witness, bound, hard_bound)
-            return _verdict("counterexample", t0, mode=mode, seed=seed,
-                            evaluations=examined, witness=witness, details=details)
-        return _verdict("holds", t0, mode=mode, seed=seed,
-                        evaluations=examined, details=details)
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    rng = _make_rng(seed)
-    minimal_m = 1
-    non_nilpotent = 0
-    first_bad = None
-    for i in range(budget):
+                    yield (E[a], E[b], E[c], E[u], E[v]), _nil_index(tb, v, hard_bound)
+
+    def sample(rng):
         a = algebra.sample_square_zero(rng)
         b = algebra.sample_element(rng)
         c = _sample_right_annihilator(algebra, b, rng)
         u = algebra.sample_element(rng)
         v = b.mul(a).mul(c).mul(u)
-        k = _matrix_nil_index(v, hard_bound)
+        return (a, b, c, u, v), _matrix_nil_index(v, hard_bound)
+
+    examined = non_nilpotent = 0
+    minimal_m = 1
+    first_bad = over_mmax = m_witness = None
+    for quad, k in _draws(mode, quadruples, sample, budget, seed):
+        examined += 1
         if k is None:
             non_nilpotent += 1
             if first_bad is None:
-                first_bad = {"a": a, "b": b, "c": c, "u": u, "bacu": v}
+                first_bad = quad
         else:
-            minimal_m = max(minimal_m, k)
-    details = {"samples": budget, "non_nilpotent": non_nilpotent,
-               "minimal_m_nilpotent": minimal_m, "m_max": bound}
-    if non_nilpotent:
-        _reverify_quad(algebra, first_bad, None, hard_bound)
-        return _verdict("counterexample", t0, mode=mode, seed=seed,
-                        evaluations=budget, witness=first_bad, details=details)
-    if minimal_m > bound:
-        return _verdict("counterexample", t0, mode=mode, seed=seed,
-                        evaluations=budget, details=details)
-    return _verdict("holds", t0, mode=mode, seed=seed, evaluations=budget, details=details)
-
-
-def _quad_witness(tb, quad):
-    a, b, c, u, v = quad
-    E = tb.elements
-    return {"a": E[a], "b": E[b], "c": E[c], "u": E[u], "bacu": E[v]}
-
-
-def _reverify_quad(algebra, witness, m_bound, hard_bound):
-    # independent of the tables: recompute with matrix arithmetic
-    a, b, c, u = witness["a"], witness["b"], witness["c"], witness["u"]
-    if not a.mul(a).is_zero() or not b.mul(c).is_zero():
-        raise SolveError("witness outside the ground set; implementation bug")
-    v = b.mul(a).mul(c).mul(u)
-    if v != witness["bacu"]:
-        raise SolveError("witness product mismatch; implementation bug")
-    if m_bound is None:
-        if v.power(hard_bound).is_zero():
-            raise SolveError("claimed non-nilpotent witness is nilpotent; implementation bug")
+            if k > minimal_m:
+                minimal_m = k
+                m_witness = quad
+            if k > bound and over_mmax is None:
+                over_mmax = quad
+    details.update(non_nilpotent=non_nilpotent, minimal_m_nilpotent=minimal_m, m_max=bound)
+    # the two report shapes stay as they were: a random survey names its
+    # sample count and no index witness
+    if mode == "random":
+        details["samples"] = examined
     else:
-        if v.power(m_bound).is_zero():
-            raise SolveError("claimed index witness fails; implementation bug")
+        details["quadruples"] = examined
+        if m_witness is not None:
+            details["index_witness"] = _quad_witness(m_witness)
+    kw = dict(mode=mode, seed=seed, evaluations=examined, details=details)
+    if first_bad is not None:
+        return _counterexample(t0, _quad_witness(first_bad),
+                               lambda w: _reverify_quad(w, hard_bound), **kw)
+    if over_mmax is not None:
+        return _counterexample(t0, _quad_witness(over_mmax),
+                               lambda w: _reverify_quad(w, bound), **kw)
+    return _verdict("holds", t0, **kw)
+
+
+def _quad_witness(quad):
+    return dict(zip(("a", "b", "c", "u", "bacu"), quad))
+
+
+def _reverify_quad(witness, power):
+    """Recompute a nilbound witness apart from the search: the quadruple
+    lies in the ground set, its product (associated the other way round)
+    is bacu, and bacu**power is nonzero. power is the dimension for a
+    product claimed not nilpotent, m_max for one claimed past m_max."""
+    a, b, c, u = witness["a"], witness["b"], witness["c"], witness["u"]
+    v = b.mul(a.mul(c.mul(u)))
+    return (a.mul(a).is_zero() and b.mul(c).is_zero() and v == witness["bacu"]
+            and not v.power(power).is_zero())
 
 
 def _matrix_nil_index(v, bound):
@@ -806,45 +765,39 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
     if d < 1:
         raise PreconditionError("d must be >= 1")
     n = algebra.n
-    if mode == "exhaustive":
-        sq0 = list(algebra.enumerate_square_zero(cap))
-        if len(sq0) ** 2 > cap:
-            raise CapExceeded("pair space exceeds the cap")
-        checked = skipped = 0
-        for a in sq0:
-            for b in sq0:
-                ab = a.mul(b)
-                if _matrix_nil_index(ab, n) is None:
-                    skipped += 1
-                    continue
-                checked += 1
-                if not ab.power(2 * d).is_zero():
-                    return _verdict("counterexample", t0, mode=mode, seed=seed,
-                                    evaluations=checked + skipped,
-                                    witness={"a": a, "b": b, "ab": ab},
-                                    details={"d": d, "checked": checked, "skipped": skipped})
-        return _verdict("holds", t0, mode=mode, seed=seed, evaluations=checked + skipped,
-                        details={"d": d, "checked": checked,
-                                 "skipped_non_nilpotent": skipped})
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    rng = _make_rng(seed)
-    checked = skipped = 0
-    for _ in range(budget):
-        a = algebra.sample_square_zero(rng)
-        b = algebra.sample_square_zero(rng)
+    skipped = 0
+
+    def probe(a, b):
+        nonlocal skipped
         ab = a.mul(b)
         if _matrix_nil_index(ab, n) is None:
             skipped += 1
-            continue
-        checked += 1
-        if not ab.power(2 * d).is_zero():
-            return _verdict("counterexample", t0, mode=mode, seed=seed,
-                            evaluations=checked + skipped,
-                            witness={"a": a, "b": b, "ab": ab},
-                            details={"d": d, "checked": checked, "skipped": skipped})
-    return _verdict("holds", t0, mode=mode, seed=seed, evaluations=checked + skipped,
-                    details={"d": d, "checked": checked, "skipped_non_nilpotent": skipped})
+            return None, 1
+        return (None if ab.power(2 * d).is_zero() else {"a": a, "b": b, "ab": ab}), 1
+
+    def pairs():
+        sq0 = list(algebra.enumerate_square_zero(cap))
+        if len(sq0) ** 2 > cap:
+            raise CapExceeded("pair space exceeds the cap")
+        return itertools.starmap(probe, itertools.product(sq0, repeat=2))
+
+    def sample(rng):
+        return probe(algebra.sample_square_zero(rng), algebra.sample_square_zero(rng))
+
+    def confirm(w):
+        a, b, ab = w["a"], w["b"], w["ab"]
+        # Horner evaluation of X^n and X^2d, not the powers the search took
+        ab_n, ab_2d = (unipoly_eval(UniPoly.x_power(ab.ring, k), ab) for k in (n, 2 * d))
+        return (a.mul(a).is_zero() and b.mul(b).is_zero() and a.mul(b) == ab
+                and ab_n.is_zero() and not ab_2d.is_zero())
+
+    witness, evaluations = _first_hit(_draws(mode, pairs, sample, budget, seed))
+    kw = dict(mode=mode, seed=seed, evaluations=evaluations,
+              details={"d": d, "checked": evaluations - skipped,
+                       "skipped_non_nilpotent": skipped})
+    if witness is None:
+        return _verdict("holds", t0, **kw)
+    return _counterexample(t0, witness, confirm, **kw)
 
 
 def vandermonde_nil(f, v, u, lambdas):
@@ -882,15 +835,20 @@ def vandermonde_nil(f, v, u, lambdas):
     all_zero = all(c.is_zero() for c in positive)
     nil_checked = None
     if all_zero and not f.is_zero() and d >= 1:
-        nil_checked = vu.power(d).is_zero()
-    verdict = _verdict(
-        "holds" if (not all_zero or nil_checked in (None, True)) else "counterexample",
-        t0, mode="deterministic",
-        evaluations=len(values),
-        details={"components_zero": all_zero, "degree": d if not f.is_zero() else None,
-                 "vu_power_zero": nil_checked},
-    )
-    return positive, verdict
+        vu_power = vu.power(d)
+        nil_checked = vu_power.is_zero()
+    kw = dict(mode="deterministic", evaluations=len(values),
+              details={"components_zero": all_zero,
+                       "degree": d if not f.is_zero() else None,
+                       "vu_power_zero": nil_checked})
+    if nil_checked is False:
+        def confirm(w):
+            x_d = UniPoly.x_power(ring, d)
+            return not unipoly_eval(x_d, w["v"].mul(w["u"])).is_zero()
+
+        return positive, _counterexample(t0, {"v": v, "u": u, "vu_power": vu_power},
+                                         confirm, **kw)
+    return positive, _verdict("holds", t0, **kw)
 
 
 AnnihilatorResult = namedtuple("AnnihilatorResult", "g factors pairs_checked")
@@ -1057,7 +1015,8 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
     ux = one.add(QuotientElement.letter(ring, "x"))
     uy = one.add(QuotientElement.letter(ring, "y"))
     uxy = ux.mul(uy)
-    s2_value = q_evaluate(standard_polynomial(2, ring), (ux, uy))
+    s2 = standard_polynomial(2, ring)
+    s2_value = q_evaluate(s2, (ux, uy))
     s3_value = q_evaluate(standard_polynomial(3, ring), (ux, uy, uxy))
     details = {
         "s2_at_units": s2_value.format(),
@@ -1067,40 +1026,19 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
     }
     if n == 1:
         details["note"] = "S_2 fails on the unit group; nothing to sample for n = 1"
-        return _verdict("counterexample", t0, mode="deterministic", seed=seed,
-                        evaluations=2,
-                        witness={"assignment": {1: ux, 2: uy}, "value": s2_value},
-                        details=details)
+        return _counterexample(t0, {"assignment": {1: ux, 2: uy}, "value": s2_value},
+                               _reproduced_by(_plain_eval, s2), mode="deterministic",
+                               seed=seed, evaluations=2, details=details)
     e = standard_polynomial(2 * n, ring)
-    rng = _make_rng(seed)
-    for i in range(samples):
-        args = tuple(sample_element(ring, rng) for _ in range(2 * n))
-        value = q_evaluate(e, args)
-        if not value.is_zero():
-            check = _requotient(e, args)
-            if check.is_zero():
-                raise SolveError("quotient hit failed re-verification; implementation bug")
-            return _verdict("counterexample", t0, mode="random", seed=seed,
-                            evaluations=i + 1,
-                            witness={"assignment": dict(enumerate(args, start=1)),
-                                     "value": value},
-                            details=details)
-    details["samples"] = samples
-    return _verdict("holds", t0, mode="random", seed=seed, evaluations=samples,
-                    details=details)
 
+    def sample(rng):
+        args = [sample_element(ring, rng) for _ in range(2 * n)]
+        return _nonzero_at(q_evaluate, e, dict(enumerate(args, start=1)))
 
-def _requotient(e, args):
-    # plain fold over the element's own terms, bypassing q_evaluate
-    ring = args[0].ring
-    emb = embed_into(e.ring, ring)
-    acc = QuotientElement.zero(ring)
-    for w, c in e.terms.items():
-        prod = QuotientElement.one(ring)
-        for g, x in w.syllables:
-            if x < 0:
-                raise PreconditionError("re-verifier only handles positive words")
-            for _ in range(x):
-                prod = prod.mul(args[g - 1])
-        acc = acc.add(prod.scale(emb(c)))
-    return acc
+    witness, evaluations = _first_hit(_draws("random", None, sample, samples, seed))
+    if witness is None:
+        details["samples"] = samples
+        return _verdict("holds", t0, mode="random", seed=seed, evaluations=evaluations,
+                        details=details)
+    return _counterexample(t0, witness, _reproduced_by(_plain_eval, e), mode="random",
+                           seed=seed, evaluations=evaluations, details=details)

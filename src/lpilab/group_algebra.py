@@ -22,7 +22,7 @@ from .errors import (
     RingMismatch,
 )
 from .freegroup import Word
-from .rings import ZZ, UniPoly
+from .rings import ZZ, UniPoly, format_sum
 
 STANDARD_CAP = 8
 AL_CAP = 4
@@ -164,24 +164,9 @@ class LaurentElement:
         return LaurentElement(ring, [(w, fn(c)) for w, c in self.terms.items()])
 
     def format(self):
-        if not self.terms:
-            return "0"
-        R = self.ring
-        parts = []
-        for w, c in self.terms_sorted():
-            neg = R.is_neg(c)
-            mag = R.neg(c) if neg else c
-            if w.is_identity():
-                body = R.format(mag)
-            elif mag == R.one:
-                body = w.format()
-            else:
-                body = f"{R.format(mag)}*{w.format()}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return format_sum(self.ring, (
+            (None if w.is_identity() else w.format(), c) for w, c in self.terms_sorted()
+        ))
 
     def __eq__(self, other):
         return (
@@ -220,24 +205,10 @@ class OneVarLaurent:
         return not self.terms
 
     def format(self):
-        if not self.terms:
-            return "0"
-        R = self.ring
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            neg = R.is_neg(c)
-            mag = R.neg(c) if neg else c
-            if e == 0:
-                body = R.format(mag)
-            else:
-                t = "t" if e == 1 else f"t^{e}"
-                body = t if mag == R.one else f"{R.format(mag)}*{t}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return format_sum(self.ring, (
+            (None if e == 0 else "t" if e == 1 else f"t^{e}", self.terms[e])
+            for e in sorted(self.terms)
+        ))
 
     def __eq__(self, other):
         return (

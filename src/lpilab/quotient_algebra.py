@@ -13,6 +13,7 @@ genuinely have no inverse here (their geometric series never terminates).
 """
 
 from .errors import NonUnit, PreconditionError, RingMismatch
+from .rings import format_sum
 
 LETTERS = ("x", "y")
 
@@ -139,25 +140,9 @@ class QuotientElement:
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def format(self):
-        if not self.terms:
-            return "0"
-        R = self.ring
-        parts = []
-        for w, c in self.terms_sorted():
-            neg = R.is_neg(c)
-            mag = R.neg(c) if neg else c
-            word = "*".join(w) if w else "1"
-            if not w:
-                body = R.format(mag)
-            elif mag == R.one:
-                body = word
-            else:
-                body = f"{R.format(mag)}*{word}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return format_sum(self.ring, (
+            ("*".join(w) if w else None, c) for w, c in self.terms_sorted()
+        ))
 
     def __eq__(self, other):
         return (

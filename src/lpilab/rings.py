@@ -384,29 +384,38 @@ class UniPoly:
         return hash((self.ring, self.coeffs))
 
     def format(self, var="X"):
-        if not self.coeffs:
-            return "0"
-        R = self.ring
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == R.zero:
-                continue
-            neg = R.is_neg(c)
-            mag = R.neg(c) if neg else c
-            if i == 0:
-                body = R.format(mag)
-            else:
-                x = var if i == 1 else f"{var}^{i}"
-                body = x if mag == R.one else f"{R.format(mag)}*{x}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return format_sum(self.ring, (
+            (None if i == 0 else var if i == 1 else f"{var}^{i}", c)
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c != self.ring.zero
+        ))
 
     def __repr__(self):
         return f"UniPoly({self.ring!r}, {self.format()})"
+
+
+def format_sum(ring, terms):
+    """Format a formal sum of (monomial, coefficient) pairs as "a - 2*b + c".
+
+    The monomial is its text, or None for the constant term. Unit
+    coefficients are left implicit on monomials, a leading minus sign
+    binds without a space, and the empty sum is "0".
+    """
+    parts = []
+    for mono, c in terms:
+        neg = ring.is_neg(c)
+        mag = ring.neg(c) if neg else c
+        if mono is None:
+            body = ring.format(mag)
+        elif mag == ring.one:
+            body = mono
+        else:
+            body = f"{ring.format(mag)}*{mono}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts) or "0"
 
 
 def unipoly_eval(g, v, ring=None):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lpilab import checkers
 from lpilab.checkers import (
     al_verify,
     bounds_from_d,
@@ -91,6 +92,8 @@ def test_check_lpi_workers_agree_with_single_process():
     v2 = check_lpi(M2F2, standard_polynomial(3), workers=2)
     assert v1.outcome == v2.outcome == "counterexample"
     assert v1.witness["assignment"] == v2.witness["assignment"]
+    # the count is the hit's canonical position, whatever the split
+    assert v1.evaluations == v2.evaluations == 293
 
 
 def test_check_lpi_zero_element():
@@ -202,6 +205,18 @@ def test_nilbound_m_max_cutoff():
     assert not w["bacu"].is_zero()  # index above 1
 
 
+def test_nilbound_random_m_max_counterexample_has_witness():
+    v = nil_exponent_search(parse_algebra("T3@Fp:2"), m_max=1, mode="random", seed=1)
+    assert v.outcome == "counterexample"
+    assert v.evaluations == v.details["samples"] == 1000
+    w = v.witness
+    assert w["a"].mul(w["a"]).is_zero()
+    assert w["b"].mul(w["c"]).is_zero()
+    assert w["b"].mul(w["a"]).mul(w["c"]).mul(w["u"]) == w["bacu"]
+    assert not w["bacu"].is_zero()  # nil index above m_max = 1
+    assert w["bacu"].power(3).is_zero()
+
+
 def test_nilbound_random_mode():
     v = nil_exponent_search(parse_algebra("T2@Fp:2"), mode="random", budget=300, seed=8)
     assert v.holds()
@@ -215,6 +230,9 @@ def test_square_zero_nilpotency():
     assert v.details["skipped_non_nilpotent"] == 6
     v3 = square_zero_nilpotency(parse_algebra("T3@Fp:2"), 1)
     assert v3.holds()
+    vr = square_zero_nilpotency(M2F2, 1, mode="random", budget=50, seed=2)
+    assert vr.holds()
+    assert vr.details["checked"] + vr.details["skipped_non_nilpotent"] == 50
 
 
 def test_vandermonde_nil_components():
@@ -335,3 +353,84 @@ def test_verdict_timing_and_seed_fields():
     assert v.seed == 99
     assert v.mode == "random"
     assert isinstance(v.elapsed_ms, int)
+
+
+def _some_value(assignment):
+    values = assignment.values() if isinstance(assignment, dict) else assignment
+    return next(iter(values))
+
+
+def _zero_value(e, assignment):
+    return _some_value(assignment).zero_like()
+
+
+def _identity_value(e, assignment):
+    return _some_value(assignment).one_like()
+
+
+T3F2 = parse_algebra("T3@Fp:2")
+S3 = standard_polynomial(3)
+
+# (checker and mode, what to break, its stand-in, the call). Either the
+# confirming evaluator is broken, or, where the identity holds (al_verify,
+# quotient_pi_check for n >= 2), the search is broken into a false hit;
+# search and confirmation then disagree, so no verdict may come back.
+GATE_CASES = [
+    ("check_lpi/prefilter", "_plain_eval", _zero_value,
+     lambda: check_lpi(M2F2, gi_to_lpi(Word.gen(1, 2)) + LaurentElement.one(ZZ))),
+    ("check_lpi/exhaustive", "evaluate", _zero_value, lambda: check_lpi(M2F2, S3)),
+    ("check_lpi/exhaustive/workers", "evaluate", _zero_value,
+     lambda: check_lpi(M2F2, S3, workers=2)),
+    ("check_lpi/random", "_plain_eval", _zero_value,
+     lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
+    ("al_verify/exhaustive", "_scan_standard", lambda tb, k, ground, outer: ((0,) * k, 1),
+     lambda: al_verify(1, 2)),
+    ("al_verify/random", "evaluate", _identity_value,
+     lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
+    ("check_group_identity/exhaustive", "evaluate", _identity_value,
+     lambda: check_group_identity(M2F2, Word.gen(1, 2))),
+    ("check_group_identity/random", "evaluate", _identity_value,
+     lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)),
+    ("nil_exponent_search/exhaustive", "_reverify_quad", lambda w, power: False,
+     lambda: nil_exponent_search(M2F2)),
+    ("nil_exponent_search/exhaustive/m_max", "_reverify_quad", lambda w, power: False,
+     lambda: nil_exponent_search(T3F2, m_max=1)),
+    ("nil_exponent_search/random", "_reverify_quad", lambda w, power: False,
+     lambda: nil_exponent_search(M2F2, mode="random", budget=100, seed=4)),
+    ("nil_exponent_search/random/m_max", "_reverify_quad", lambda w, power: False,
+     lambda: nil_exponent_search(T3F2, m_max=1, mode="random", budget=100, seed=1)),
+    ("quotient_pi_check/n=1", "_plain_eval", _zero_value, lambda: quotient_pi_check(1)),
+    ("quotient_pi_check/random", "q_evaluate", _identity_value,
+     lambda: quotient_pi_check(2, samples=5, seed=3)),
+]
+
+
+@pytest.mark.parametrize("name, target, stand_in, call", GATE_CASES,
+                         ids=[c[0] for c in GATE_CASES])
+def test_counterexample_needs_independent_confirmation(monkeypatch, name, target,
+                                                       stand_in, call):
+    monkeypatch.setattr(checkers, target, stand_in)
+    with pytest.raises(SolveError):
+        call()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_square_zero_counterexample_needs_confirmation(monkeypatch, mode):
+    # a^2 = b^2 = 0 with ab nilpotent forces (ab)^2 = 0 on M2(F2), so a
+    # search that sees (ab)^2 != 0 is wrong, and confirmation, which takes
+    # its powers by Horner evaluation, must refuse the hit
+    monkeypatch.setattr(Matrix, "power", lambda self, k: self.one_like())
+    with pytest.raises(SolveError):
+        square_zero_nilpotency(M2F2, 1, mode=mode, budget=50, seed=2)
+
+
+def test_unknown_mode_is_rejected():
+    for call in (
+        lambda: check_lpi(M2F2, S3, mode="basis"),
+        lambda: al_verify(1, 2, mode="basis"),
+        lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="basis"),
+        lambda: nil_exponent_search(M2F2, mode="basis"),
+        lambda: square_zero_nilpotency(M2F2, 1, mode="basis"),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
