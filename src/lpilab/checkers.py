@@ -12,8 +12,11 @@ search and confirmation never use the same evaluator:
 
 - hits of the index-table kernels are confirmed by `evaluate`, which also
   supplies the reported value;
-- hits of `evaluate` and `q_evaluate` are confirmed by `_plain_eval`, a
-  term-by-term fold with no tables and no power or inverse caches;
+- hits of `evaluate` and `q_evaluate`, which are both thin wrappers around
+  one evaluation fold, `LaurentElement.at`, are confirmed by `_plain_eval`,
+  a term-by-term fold with no tables and no power or inverse caches. It
+  must stay apart from `LaurentElement.at`: a defect in that shared fold
+  would otherwise reproduce itself in the confirmation;
 - group identities are searched with `_plain_eval` and confirmed by
   `evaluate`;
 - the nil searches recompute their witnesses with matrix products taken
@@ -47,7 +50,7 @@ from .matrix_algebra import (
     parse_algebra,
 )
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
-from .rings import QQ, UniPoly, ZZ, embed_into, unipoly_eval, vandermonde_solve
+from .rings import UniPoly, ZZ, _field_for, embed_into, unipoly_eval, vandermonde_solve
 
 TABLE_CAP = 512
 DEFAULT_BUDGET = 1000
@@ -76,14 +79,19 @@ def _verdict(outcome, t0, **kw):
 # the search layer
 
 
+def _check_mode(mode):
+    """The only place that accepts or rejects a search mode. Searches with
+    an early answer call it before giving that answer."""
+    if mode not in ("exhaustive", "random"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+
+
 def _draws(mode, exhaustive, sample, budget, seed):
     """The candidate stream of a search: exhaustive() in canonical order,
-    or sample(rng) drawn budget times from a generator seeded with seed.
-    This is the only place that accepts or rejects a mode."""
+    or sample(rng) drawn budget times from a generator seeded with seed."""
+    _check_mode(mode)
     if mode == "exhaustive":
         return exhaustive()
-    if mode != "random":
-        raise PreconditionError(f"unknown mode {mode!r}")
     # string-seeding goes through a stable hash, so substreams derived as
     # f"{seed}/{i}" reproduce across runs and platforms
     rng = random.Random(seed)
@@ -192,11 +200,8 @@ class _Tables:
         self.one = self.index[algebra.identity()]
         self.inverse = []
         for m in self.elements:
-            inv = mat_inverse(m)
-            if inv is not None and algebra.contains(inv):
-                self.inverse.append(self.index[inv])
-            else:
-                self.inverse.append(None)
+            inv = algebra.inverse(m)
+            self.inverse.append(None if inv is None else self.index[inv])
         self.units = [i for i, v in enumerate(self.inverse) if v is not None]
         self.n = n
 
@@ -444,6 +449,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     weak empirical sense.
     """
     t0 = time.monotonic()
+    _check_mode(mode)
     if e.is_zero():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "zero element vanishes identically"})
@@ -484,6 +490,7 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
 
     The search folds the word with _plain_eval; evaluate confirms a hit."""
     t0 = time.monotonic()
+    _check_mode(mode)
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
@@ -528,14 +535,7 @@ def minimal_polynomial(m):
     integer polynomials).
     """
     R = m.ring
-    if R.is_field:
-        field, lift = R, (lambda v: v)
-    elif R == ZZ:
-        from fractions import Fraction
-
-        field, lift = QQ, Fraction
-    else:
-        raise PreconditionError(f"no minimal polynomial routine for {R!r}")
+    field, lift = _field_for(R)
     n = m.n
     rows = []  # (pivot, vector, combo) in echelon form
     power = identity(R, n)

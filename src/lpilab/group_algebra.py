@@ -19,10 +19,9 @@ from .errors import (
     DiagonalCollapse,
     Inadmissible,
     PreconditionError,
-    RingMismatch,
 )
-from .freegroup import Word
-from .rings import ZZ, UniPoly, format_sum
+from .freegroup import IDENTITY, Word
+from .rings import ZZ, FormalSum, UniPoly, embed_into
 
 STANDARD_CAP = 8
 AL_CAP = 4
@@ -31,35 +30,20 @@ LpiProfile = namedtuple("LpiProfile", "l r d")
 NormalizeResult = namedtuple("NormalizeResult", "element variable k")
 
 
-class LaurentElement:
-    __slots__ = ("ring", "terms")
+class LaurentElement(FormalSum):
+    """A formal sum of coefficients times reduced words."""
 
-    def __init__(self, ring, terms=()):
-        collected = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
-            if not isinstance(word, Word):
-                raise PreconditionError(f"term key must be a Word: {word!r}")
-            c = ring.coerce(coeff)
-            if word in collected:
-                c = ring.add(collected[word], c)
-            if c == ring.zero:
-                collected.pop(word, None)
-            else:
-                collected[word] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", collected)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentElement is immutable")
+    UNIT = IDENTITY
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring)
+    @staticmethod
+    def _check_key(word):
+        if not isinstance(word, Word):
+            raise PreconditionError(f"term key must be a Word: {word!r}")
 
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, [(Word(), ring.one)])
+    _sort_key = staticmethod(Word.sort_key)
+    _key_text = staticmethod(Word.format)
 
     @classmethod
     def from_word(cls, ring, word, coeff=1):
@@ -67,16 +51,10 @@ class LaurentElement:
 
     @classmethod
     def constant(cls, ring, c):
-        return cls(ring, [(Word(), c)])
-
-    def is_zero(self):
-        return not self.terms
+        return cls(ring, [(IDENTITY, c)])
 
     def coefficient(self, word):
         return self.terms.get(word, self.ring.zero)
-
-    def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def support(self):
         return [w for w, _ in self.terms_sorted()]
@@ -99,31 +77,6 @@ class LaurentElement:
             acc = self.ring.add(acc, c)
         return acc
 
-    def _same_ring(self, other):
-        if not isinstance(other, LaurentElement) or other.ring != self.ring:
-            raise RingMismatch("elements live in different group algebras")
-
-    def add(self, other):
-        self._same_ring(other)
-        out = dict(self.terms)
-        R = self.ring
-        for w, c in other.terms.items():
-            s = R.add(out.get(w, R.zero), c)
-            if s == R.zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return LaurentElement(R, out)
-
-    __add__ = add
-
-    def __neg__(self):
-        R = self.ring
-        return LaurentElement(R, {w: R.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self.add(-other)
-
     def mul(self, other):
         self._same_ring(other)
         R = self.ring
@@ -140,18 +93,38 @@ class LaurentElement:
 
     __mul__ = mul
 
-    def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        out = {}
-        for w, v in self.terms.items():
-            s = R.mul(c, v)
-            if s != R.zero:
-                out[w] = s
-        return LaurentElement(R, out)
+    def at(self, assignment, inverse):
+        """The value of this element at an assignment of algebra elements.
 
-    def one_like(self):
-        return LaurentElement.one(self.ring)
+        The assignment is a tuple (x1 first) or a dict keyed by generator
+        index, and its values need mul, add, scale, power, one_like and
+        zero_like. inverse(g, value) is asked once for each generator that
+        appears with a negative exponent and must return the inverse of
+        value or raise. This is the evaluation fold behind evaluate and
+        q_evaluate; the re-verifier in the checkers stays apart from it.
+        """
+        values = assignment if isinstance(assignment, dict) else dict(enumerate(assignment, 1))
+        if not values:
+            raise PreconditionError("empty assignment")
+        missing = self.variables() - set(values)
+        if missing:
+            raise PreconditionError(f"unassigned variables: {sorted(missing)}")
+        first = next(iter(values.values()))
+        emb = embed_into(self.ring, first.ring)
+        one = first.one_like()
+        inverses = {}
+        acc = first.zero_like()
+        for w, c in self.terms.items():
+            val = one
+            for g, exp in w.syllables:
+                base = values[g]
+                if exp < 0:
+                    if g not in inverses:
+                        inverses[g] = inverse(g, base)
+                    base = inverses[g]
+                val = val.mul(base.power(abs(exp)))
+            acc = acc.add(val.scale(emb(c)))
+        return acc
 
     def substitute(self, var, replacement):
         """Apply the group substitution x_var -> replacement to every word."""
@@ -163,62 +136,26 @@ class LaurentElement:
     def map_ring(self, ring, fn):
         return LaurentElement(ring, [(w, fn(c)) for w, c in self.terms.items()])
 
-    def format(self):
-        return format_sum(self.ring, (
-            (None if w.is_identity() else w.format(), c) for w, c in self.terms_sorted()
-        ))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElement)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self.terms_sorted())))
-
-    def __repr__(self):
-        return f"LaurentElement({self.ring!r}, {self.format()})"
-
-
-class OneVarLaurent:
+class OneVarLaurent(FormalSum):
     """A Laurent polynomial in one symbol t, exponents possibly negative."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring, terms=()):
-        collected = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
-            c = ring.coerce(c)
-            if e in collected:
-                c = ring.add(collected[e], c)
-            if c == ring.zero:
-                collected.pop(e, None)
-            else:
-                collected[e] = c
-        self.ring = ring
-        self.terms = collected
+    UNIT = 0
 
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def _check_key(e):
+        if not isinstance(e, int):
+            raise PreconditionError(f"exponent of t must be an integer: {e!r}")
 
-    def format(self):
-        return format_sum(self.ring, (
-            (None if e == 0 else "t" if e == 1 else f"t^{e}", self.terms[e])
-            for e in sorted(self.terms)
-        ))
+    @staticmethod
+    def _sort_key(e):
+        return e
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneVarLaurent)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
-
-    def __repr__(self):
-        return f"OneVarLaurent({self.ring!r}, {self.format()})"
+    @staticmethod
+    def _key_text(e):
+        return "t" if e == 1 else f"t^{e}"
 
 
 def is_admissible(e):

@@ -11,7 +11,7 @@ import ast
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
-from .rings import PrimeField, ZZ, embed_into
+from .rings import PrimeField, ZZ, _invert_square
 
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
@@ -200,20 +200,8 @@ def mat_inverse(m):
     R = m.ring
     n = m.n
     if R.is_field:
-        aug = [list(row) + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(m.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != R.zero), None)
-            if piv is None:
-                return None
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = R.inv(aug[col][col])
-            aug[col] = [R.mul(inv, x) for x in aug[col]]
-            for r in range(n):
-                if r == col or aug[r][col] == R.zero:
-                    continue
-                f = aug[r][col]
-                aug[r] = [R.sub(x, R.mul(f, y)) for x, y in zip(aug[r], aug[col])]
-        return Matrix(R, [row[n:] for row in aug])
+        rows = _invert_square(R, m.entries)
+        return None if rows is None else Matrix(R, rows)
     if R == ZZ:
         d = det(m)
         if d not in (1, -1):
@@ -309,10 +297,14 @@ class Algebra:
                 rows[i][j] = v
             yield Matrix(self.ring, rows)
 
+    def inverse(self, m):
+        """The inverse of m when m is a unit of this algebra, else None."""
+        inv = mat_inverse(m)
+        return inv if inv is not None and self.contains(inv) else None
+
     def enumerate_units(self, cap=DEFAULT_CAP):
         for m in self.enumerate_elements(cap):
-            inv = mat_inverse(m)
-            if inv is not None and self.contains(inv):
+            if self.inverse(m) is not None:
                 yield m
 
     def enumerate_square_zero(self, cap=DEFAULT_CAP):
@@ -336,8 +328,7 @@ class Algebra:
     def sample_unit(self, rng, retries=256):
         for _ in range(retries):
             m = self.sample_element(rng)
-            inv = mat_inverse(m)
-            if inv is not None and self.contains(inv):
+            if self.inverse(m) is not None:
                 return m
         raise PreconditionError(f"no unit found in {retries} draws")
 
@@ -402,44 +393,22 @@ def evaluate(e, assignment, algebra=None):
     routine is deliberately plain (no tables, no memo beyond inverses) so
     search engines can use it as an independent re-verifier.
     """
-    if isinstance(assignment, dict):
-        assigned = dict(assignment)
-    else:
-        assigned = {i + 1: m for i, m in enumerate(assignment)}
-    mats = list(assigned.values())
-    if not mats:
-        raise PreconditionError("empty assignment")
-    first = mats[0]
+    if not isinstance(assignment, dict):
+        assignment = tuple(assignment)
+    mats = list(assignment.values()) if isinstance(assignment, dict) else assignment
     for m in mats:
-        first._compatible(m)
+        mats[0]._compatible(m)
     if algebra is not None:
         for m in mats:
             if not algebra.contains(m):
                 raise PreconditionError("assigned matrix lies outside the algebra")
-    need = set()
-    for w in e.terms:
-        need |= w.variables()
-    missing = need - set(assigned)
-    if missing:
-        raise PreconditionError(f"unassigned variables: {sorted(missing)}")
-    emb = embed_into(e.ring, first.ring)
-    inverses = {}
-    acc = first.zero_like()
-    ident = first.one_like()
-    for w, c in e.terms.items():
-        val = ident
-        for g, exp in w.syllables:
-            base = assigned[g]
-            if exp < 0:
-                if g not in inverses:
-                    inverses[g] = mat_inverse(base)
-                base = inverses[g]
-                if base is None:
-                    raise NonUnit(
-                        f"x{g} is assigned a non-unit but appears with a negative exponent"
-                    )
-                if algebra is not None and not algebra.contains(base):
-                    raise NonUnit(f"inverse of x{g} leaves the algebra")
-            val = val.mul(base.power(abs(exp)))
-        acc = acc.add(val.scale(emb(c)))
-    return acc
+
+    def inverse(g, m):
+        inv = mat_inverse(m)
+        if inv is None:
+            raise NonUnit(f"x{g} is assigned a non-unit but appears with a negative exponent")
+        if algebra is not None and not algebra.contains(inv):
+            raise NonUnit(f"inverse of x{g} leaves the algebra")
+        return inv
+
+    return e.at(assignment, inverse)

@@ -12,8 +12,8 @@ since (c*s)^2 = 0; nothing else is certified, and elements like 1 + xy
 genuinely have no inverse here (their geometric series never terminates).
 """
 
-from .errors import NonUnit, PreconditionError, RingMismatch
-from .rings import format_sum
+from .errors import NonUnit, PreconditionError
+from .rings import FormalSum
 
 LETTERS = ("x", "y")
 
@@ -28,34 +28,20 @@ def _check_word(w):
     return w
 
 
-class QuotientElement:
-    __slots__ = ("ring", "terms")
+class QuotientElement(FormalSum):
+    """A formal sum of coefficients times alternating words in x and y."""
 
-    def __init__(self, ring, terms=()):
-        collected = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for w, c in items:
-            _check_word(w)
-            c = ring.coerce(c)
-            if w in collected:
-                c = ring.add(collected[w], c)
-            if c == ring.zero:
-                collected.pop(w, None)
-            else:
-                collected[w] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", collected)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientElement is immutable")
+    UNIT = ""
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring)
+    _check_key = staticmethod(_check_word)
 
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, [("", ring.one)])
+    @staticmethod
+    def _sort_key(w):
+        return (len(w), w)
+
+    _key_text = staticmethod("*".join)
 
     @classmethod
     def letter(cls, ring, s):
@@ -63,36 +49,8 @@ class QuotientElement:
             raise PreconditionError(f"letter must be x or y: {s!r}")
         return cls(ring, [(s, ring.one)])
 
-    def is_zero(self):
-        return not self.terms
-
     def support_size(self):
         return len(self.terms)
-
-    def _same_ring(self, other):
-        if not isinstance(other, QuotientElement) or other.ring != self.ring:
-            raise RingMismatch("quotient elements live over different rings")
-
-    def add(self, other):
-        self._same_ring(other)
-        R = self.ring
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = R.add(out.get(w, R.zero), c)
-            if s == R.zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return QuotientElement(R, out)
-
-    __add__ = add
-
-    def __neg__(self):
-        R = self.ring
-        return QuotientElement(R, {w: R.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self.add(-other)
 
     def mul(self, other):
         self._same_ring(other)
@@ -111,51 +69,6 @@ class QuotientElement:
         return QuotientElement(R, out)
 
     __mul__ = mul
-
-    def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        out = {}
-        for w, v in self.terms.items():
-            s = R.mul(c, v)
-            if s != R.zero:
-                out[w] = s
-        return QuotientElement(R, out)
-
-    def power(self, k):
-        if k < 0:
-            raise PreconditionError("power exponent must be >= 0")
-        acc = QuotientElement.one(self.ring)
-        for _ in range(k):
-            acc = acc.mul(self)
-        return acc
-
-    def one_like(self):
-        return QuotientElement.one(self.ring)
-
-    def zero_like(self):
-        return QuotientElement.zero(self.ring)
-
-    def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def format(self):
-        return format_sum(self.ring, (
-            ("*".join(w) if w else None, c) for w, c in self.terms_sorted()
-        ))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientElement)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self.terms_sorted())))
-
-    def __repr__(self):
-        return f"QuotientElement({self.ring!r}, {self.format()})"
 
 
 class QuotientUnit:
@@ -209,47 +122,24 @@ def q_evaluate(e, assignment):
     QuotientUnit in that slot; a bare element there raises NonUnit because
     general invertibility in F is not decided, only certified.
     """
-    if isinstance(assignment, dict):
-        assigned = dict(assignment)
-    else:
-        assigned = {i + 1: v for i, v in enumerate(assignment)}
+    items = assignment.items() if isinstance(assignment, dict) else enumerate(assignment, 1)
     values = {}
-    ring = None
-    for g, v in assigned.items():
+    certified = {}
+    for g, v in items:
         if isinstance(v, QuotientUnit):
-            values[g] = (v.value, v.inverse)
+            values[g] = v.value
+            certified[g] = v.inverse
         elif isinstance(v, QuotientElement):
-            values[g] = (v, None)
+            values[g] = v
         else:
             raise PreconditionError(f"x{g} is assigned {v!r}")
-        ring = values[g][0].ring
-    if ring is None:
-        raise PreconditionError("empty assignment")
-    need = set()
-    for w in e.terms:
-        need |= w.variables()
-    missing = need - set(values)
-    if missing:
-        raise PreconditionError(f"unassigned variables: {sorted(missing)}")
-    from .rings import embed_into
 
-    emb = embed_into(e.ring, ring)
-    acc = QuotientElement.zero(ring)
-    ident = QuotientElement.one(ring)
-    for w, c in e.terms.items():
-        val = ident
-        for g, exp in w.syllables:
-            fwd, inv = values[g]
-            if exp < 0:
-                if inv is None:
-                    raise NonUnit(
-                        f"x{g} appears with a negative exponent but is not a certified unit"
-                    )
-                val = val.mul(inv.power(-exp))
-            else:
-                val = val.mul(fwd.power(exp))
-        acc = acc.add(val.scale(emb(c)))
-    return acc
+    def inverse(g, value):
+        if g not in certified:
+            raise NonUnit(f"x{g} appears with a negative exponent but is not a certified unit")
+        return certified[g]
+
+    return e.at(values, inverse)
 
 
 def sample_element(ring, rng, max_support=8, max_len=5):

@@ -418,6 +418,125 @@ def format_sum(ring, terms):
     return " ".join(parts) or "0"
 
 
+class FormalSum:
+    """A finite formal sum of monomials with coefficients in a ring.
+
+    Terms are kept collected in a dict {monomial: coefficient} with zero
+    coefficients dropped, and the element is immutable, so equal sums
+    compare, hash and print the same. A subclass names its unit monomial
+    UNIT and supplies _check_key (validates a monomial or raises),
+    _sort_key (the print order) and _key_text (the text of a monomial
+    other than UNIT), plus its own product: mul is left to the subclass
+    because it is the one operation whose monomial arithmetic differs.
+    """
+
+    __slots__ = ("ring", "terms")
+
+    UNIT = None
+
+    def __init__(self, ring, terms=()):
+        check = self._check_key
+        collected = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, coeff in items:
+            check(key)
+            c = ring.coerce(coeff)
+            if key in collected:
+                c = ring.add(collected[key], c)
+            if c == ring.zero:
+                collected.pop(key, None)
+            else:
+                collected[key] = c
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", collected)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring)
+
+    @classmethod
+    def one(cls, ring):
+        return cls(ring, [(cls.UNIT, ring.one)])
+
+    def one_like(self):
+        return self.one(self.ring)
+
+    def zero_like(self):
+        return self.zero(self.ring)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _same_ring(self, other):
+        if type(other) is not type(self) or other.ring != self.ring:
+            raise RingMismatch(f"operands are not {type(self).__name__}s over one ring")
+
+    def add(self, other):
+        self._same_ring(other)
+        R = self.ring
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = R.add(out.get(key, R.zero), c)
+            if s == R.zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return type(self)(R, out)
+
+    __add__ = add
+
+    def __neg__(self):
+        R = self.ring
+        return type(self)(R, {key: R.neg(c) for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self.add(-other)
+
+    def scale(self, c):
+        R = self.ring
+        c = R.coerce(c)
+        out = {}
+        for key, v in self.terms.items():
+            s = R.mul(c, v)
+            if s != R.zero:
+                out[key] = s
+        return type(self)(R, out)
+
+    def power(self, k):
+        if k < 0:
+            raise PreconditionError("power exponent must be >= 0")
+        acc = self.one_like()
+        for _ in range(k):
+            acc = acc.mul(self)
+        return acc
+
+    def terms_sorted(self):
+        sort_key = self._sort_key
+        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+
+    def format(self):
+        unit, text = self.UNIT, self._key_text
+        return format_sum(self.ring, (
+            (None if key == unit else text(key), c) for key, c in self.terms_sorted()
+        ))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.ring == self.ring
+            and other.terms == self.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, tuple(self.terms_sorted())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ring!r}, {self.format()})"
+
+
 def unipoly_eval(g, v, ring=None):
     """Evaluate g at v, where v is a ring scalar or an algebra element.
 
@@ -452,13 +571,14 @@ def _field_for(ring):
 
 
 def _invert_square(field, rows):
-    """Gauss-Jordan inverse of a small square matrix of field scalars."""
+    """Gauss-Jordan inverse of a small square matrix of field scalars, as
+    a list of rows, or None when the matrix is singular."""
     n = len(rows)
     aug = [list(rows[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != field.zero), None)
         if piv is None:
-            raise SolveError("singular system")
+            return None
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = field.inv(aug[col][col])
         aug[col] = [field.mul(inv, x) for x in aug[col]]
@@ -506,6 +626,8 @@ def vandermonde_solve(ring, points, values):
             row.append(field.mul(row[-1], x))
         vrows.append(row)
     W = _invert_square(field, vrows)
+    if W is None:
+        raise SolveError("singular system")
 
     first = values[0]
     if hasattr(first, "entries"):

@@ -174,10 +174,7 @@ class _Parser:
 
     def _power(self, a, k, caret):
         if k >= 0:
-            out = self._one()
-            for _ in range(k):
-                out = out.mul(a)
-            return out
+            return a.power(k)
         if self.context == "quotient":
             raise ParseError("negative exponents have no meaning in the quotient algebra",
                              caret.line, caret.col)

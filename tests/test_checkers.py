@@ -431,6 +431,11 @@ def test_unknown_mode_is_rejected():
         lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="basis"),
         lambda: nil_exponent_search(M2F2, mode="basis"),
         lambda: square_zero_nilpotency(M2F2, 1, mode="basis"),
+        # calls that have their answer before the search starts
+        lambda: check_lpi(M2F2, LaurentElement(ZZ, [(Word(), 1), (Word.gen(1), 1),
+                                                     (Word.gen(1, 2), 1)]), mode="bogus"),
+        lambda: check_lpi(M2F2, LaurentElement.zero(ZZ), mode="bogus"),
+        lambda: check_group_identity(M2F2, Word(), mode="bogus"),
     ):
         with pytest.raises(PreconditionError):
             call()

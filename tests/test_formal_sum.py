@@ -1,0 +1,166 @@
+"""The formal-sum base shared by Laurent, quotient and one-variable
+elements, and the evaluation fold shared by evaluate and q_evaluate,
+checked against the plain re-verifier of the checkers."""
+
+import random
+
+import pytest
+
+from lpilab.checkers import _plain_eval
+from lpilab.errors import PreconditionError, RingMismatch
+from lpilab.freegroup import Word
+from lpilab.group_algebra import LaurentElement, OneVarLaurent
+from lpilab.matrix_algebra import Matrix, evaluate, parse_algebra
+from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
+from lpilab.rings import ZZ, FormalSum, PrimeField
+
+f2 = PrimeField(2)
+
+
+def samples(ring):
+    """Two elements of each subclass over ring."""
+    x1, x2 = (LaurentElement.from_word(ring, Word.gen(i)) for i in (1, 2))
+    x, y = (QuotientElement.letter(ring, s) for s in "xy")
+    t = OneVarLaurent(ring, [(1, ring.one), (-2, ring.one)])
+    return {
+        LaurentElement: (x1.add(x2.scale(ring.from_int(3))), x1.mul(x2)),
+        QuotientElement: (x.add(y), x.mul(y).add(QuotientElement.one(ring))),
+        OneVarLaurent: (t, OneVarLaurent(ring, [(0, ring.one)])),
+    }
+
+
+@pytest.mark.parametrize("cls", [LaurentElement, QuotientElement, OneVarLaurent],
+                         ids=lambda c: c.__name__)
+def test_formal_sum_contract(cls):
+    a, b = samples(ZZ)[cls]
+    assert isinstance(a, FormalSum)
+    for name in ("ring", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert (a - a).is_zero() and (a - a) == cls.zero(ZZ)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a.scale(2) == a + a and (-a).scale(-1) == a
+    assert cls.one(ZZ).format() == "1" and cls.zero(ZZ).format() == "0"
+    assert a.one_like() == cls.one(ZZ) and a.zero_like() == cls.zero(ZZ)
+    with pytest.raises(RingMismatch):
+        a.add(samples(f2)[cls][0])
+
+
+def test_different_subclasses_never_equal():
+    kinds = list(samples(ZZ))
+    for i, k1 in enumerate(kinds):
+        for k2 in kinds[i + 1:]:
+            assert k1.zero(ZZ) != k2.zero(ZZ)
+            assert k1.one(ZZ) != k2.one(ZZ)
+            with pytest.raises(RingMismatch):
+                k1.one(ZZ).add(k2.one(ZZ))
+    x1 = LaurentElement.from_word(ZZ, Word.gen(1))
+    with pytest.raises(RingMismatch):
+        x1.mul(LaurentElement.from_word(f2, Word.gen(1)))
+    with pytest.raises(RingMismatch):
+        QuotientElement.letter(ZZ, "x").mul(x1)
+
+
+def test_keys_are_checked():
+    with pytest.raises(PreconditionError):
+        LaurentElement(ZZ, [("x1", 1)])
+    with pytest.raises(PreconditionError):
+        QuotientElement(ZZ, [("xx", 1)])
+    with pytest.raises(PreconditionError):
+        OneVarLaurent(ZZ, [("t", 1)])
+
+
+def test_laurent_power():
+    e = LaurentElement(ZZ, [(Word(), 1), (Word.gen(1, -1), 2)])
+    assert e.power(0) == LaurentElement.one(ZZ)
+    assert e.power(3) == e.mul(e).mul(e)
+    with pytest.raises(PreconditionError):
+        e.power(-1)
+
+
+# ---------------------------------------------------------------------------
+# evaluate and q_evaluate against _plain_eval
+
+
+def random_word(rng, nvars):
+    return Word(tuple((rng.randint(1, nvars), rng.choice([-3, -2, -1, 1, 2, 3]))
+                      for _ in range(rng.randint(0, 4))))
+
+
+def random_laurent(rng, nvars=3, negative=True):
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        w = random_word(rng, nvars)
+        if not negative:
+            w = Word(tuple((g, abs(x)) for g, x in w.syllables))
+        terms.append((w, rng.randint(-3, 3)))
+    return LaurentElement(ZZ, terms)
+
+
+def zz_unit(rng):
+    """A unit of M2(ZZ): a product of two elementary matrices and a sign."""
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    s = rng.choice([1, -1])
+    return (Matrix(ZZ, [[1, a], [0, 1]]).mul(Matrix(ZZ, [[1, 0], [b, 1]]))
+            .mul(Matrix(ZZ, [[s, 0], [0, 1]])))
+
+
+@pytest.mark.parametrize("descriptor", ["M2@Fp:3", "T2@Fp:5", "M2@ZZ"])
+def test_evaluate_matches_plain_eval(descriptor):
+    algebra = parse_algebra(descriptor)
+    rng = random.Random(f"evaluate/{descriptor}")
+    draw = zz_unit if descriptor.endswith("ZZ") else algebra.sample_unit
+    checked = 0
+    for _ in range(60):
+        e = random_laurent(rng)
+        mats = tuple(draw(rng) for _ in range(3))
+        value = evaluate(e, mats)
+        assert value == _plain_eval(e, dict(enumerate(mats, start=1)))
+        checked += e.has_negative_exponent()
+    assert checked > 30
+
+
+def test_q_evaluate_matches_plain_eval():
+    rng = random.Random("q_evaluate")
+    for ring in (ZZ, PrimeField(5)):
+        for _ in range(40):
+            e = random_laurent(rng, negative=False)
+            args = tuple(sample_element(ring, rng, max_support=3, max_len=3)
+                         for _ in range(3))
+            assert q_evaluate(e, args) == _plain_eval(e, dict(enumerate(args, start=1)))
+
+
+def rename_inverses(e, shift):
+    """e with every negative syllable x_g^-k renamed to x_(g+shift)^k."""
+    return LaurentElement(e.ring, [
+        (Word(tuple((g + shift, -x) if x < 0 else (g, x) for g, x in w.syllables)), c)
+        for w, c in e.terms.items()
+    ])
+
+
+def test_q_evaluate_at_units_matches_plain_eval():
+    # _plain_eval inverts no quotient element, so each inverse is assigned
+    # to a fresh variable: the certified inverse of the q_unit
+    rng = random.Random("q_evaluate/units")
+    checked = 0
+    for _ in range(40):
+        e = random_laurent(rng)
+        units = [q_unit(ZZ, [(rng.randint(-2, 2), rng.choice("xy"))
+                             for _ in range(rng.randint(0, 3))]) for _ in range(3)]
+        plain = {g: u.value for g, u in enumerate(units, start=1)}
+        plain.update({g + 3: u.inverse for g, u in enumerate(units, start=1)})
+        assert q_evaluate(e, units) == _plain_eval(rename_inverses(e, 3), plain)
+        checked += e.has_negative_exponent()
+    assert checked > 20
+
+
+def test_plain_eval_stays_apart_from_the_fold(monkeypatch):
+    def shared_fold(self, assignment, inverse):
+        raise AssertionError("_plain_eval went through LaurentElement.at")
+
+    rng = random.Random("apart")
+    e = random_laurent(rng)
+    mats = {g: zz_unit(rng) for g in (1, 2, 3)}
+    expected = evaluate(e, mats)
+    monkeypatch.setattr(LaurentElement, "at", shared_fold)
+    assert _plain_eval(e, mats) == expected

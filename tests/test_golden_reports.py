@@ -1,0 +1,65 @@
+"""Golden reports: a handful of fast CLI calls whose standard output must
+stay byte-identical, apart from the `elapsed_ms` lines.
+
+The files under tests/data/golden/ were frozen from the commit before the
+formal-sum refactor, so a change to the internals that alters any report
+text shows up here. When a report change is intended, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and say in CHANGES.md which report changed and why.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+# name -> (argv, exit status)
+CASES = {
+    "parse_s4": (["parse", "--expr", "S(4)"], 0),
+    "parse_quotient": (["parse", "--context", "quotient", "--expr", "(x+y)^3 - 2*x*y*x + 3"], 0),
+    "s3_expand": (["s3-expand"], 0),
+    "witness": (["witness", "--expr", "1 - x1^-2 + x1^3"], 0),
+    "annihilator_m2f2": (["annihilator", "--algebra", "M2@Fp:2"], 0),
+    "check_lpi_s3_m2f2": (["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2"], 1),
+    "check_gi_commutator_m2f2": (
+        ["check-gi", "--word", "x1*x2*x1^-1*x2^-1", "--algebra", "M2@Fp:2"], 1),
+    "quotient_n2": (["quotient", "--n", "2", "--samples", "50", "--seed", "0"], 0),
+}
+
+
+def run_report(argv):
+    """Run one CLI call; its exit status and its stdout without the
+    elapsed_ms lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-m", "lpilab", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    lines = [ln for ln in proc.stdout.splitlines(keepends=True) if '"elapsed_ms"' not in ln]
+    return proc.returncode, "".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    argv, status = CASES[name]
+    code, text = run_report(argv)
+    assert code == status, (argv, code)
+    assert text == (GOLDEN / f"{name}.json").read_text(), argv
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, (argv, status) in sorted(CASES.items()):
+        code, text = run_report(argv)
+        if code != status:
+            raise SystemExit(f"{name}: exit status {code}, expected {status}")
+        (GOLDEN / f"{name}.json").write_text(text)
+        print(f"wrote {name}.json")
