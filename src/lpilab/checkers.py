@@ -52,7 +52,7 @@ from .matrix_algebra import (
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
 from .rings import UniPoly, ZZ, _field_for, embed_into, unipoly_eval, vandermonde_solve
 
-TABLE_CAP = 512
+TABLE_CAP = 1024
 DEFAULT_BUDGET = 1000
 
 
@@ -174,13 +174,40 @@ def _plain_eval(e, assignment):
 # index tables
 
 
+def _linear_row(start, steps, p):
+    """The row r of length p**len(steps) with r[0] = start and
+    r[b] = steps[t][r[b - p**t]] for p**t <= b < p**(t+1), so t is the
+    place of b's highest nonzero base-p digit and b - p**t lowers that
+    digit by one. Each block of p**t entries thus comes from the block
+    before it in one pass. The row is allocated at its final length."""
+    row = [start] * p ** len(steps)
+    w = 1
+    for step in steps:
+        get = step.__getitem__
+        for b in range(w, p * w, w):
+            row[b:b + w] = map(get, row[b - w:b])
+        w *= p
+    return row
+
+
 class _Tables:
     """A finite algebra flattened to integer indices.
 
     Products, sums and negations become single list lookups, which is what
-    lets pure Python sweep tens of thousands of tuples in a second. Only
-    built when the element count stays small; N**2 table entries are paid
-    once per scan and once more in each worker.
+    lets pure Python sweep tens of thousands of tuples in a second.
+
+    An index is the base-p number whose L digits are the element's free
+    entries in `Algebra.positions()` order, the first position most
+    significant, which is the order of `enumerate_elements`. The zero
+    matrix is index 0, and index p**t is the basis element e_t whose one
+    nonzero entry is a 1 in free position L - 1 - t. Sums are digit-wise
+    additions mod p, so a row of `add` follows from bumping one digit at a
+    time. b -> a*b is linear, so a row of `mul` needs only the L products
+    a*e_t: a*b = a*(b - p**t) + a*e_t. Building the tables therefore costs
+    N*L matrix products and O(N**2) list steps. `neg` is read off `add`, and `inverse` off `mul`: in a
+    finite-dimensional algebra a one-sided inverse is two-sided, so a is a
+    unit of the algebra exactly when its `mul` row holds the identity.
+    Every entry is an item of one shared list of the N indices.
     """
 
     def __init__(self, algebra, cap=DEFAULT_CAP):
@@ -191,18 +218,26 @@ class _Tables:
             )
         self.algebra = algebra
         self.elements = list(algebra.enumerate_elements(cap))
-        self.index = {m: i for i, m in enumerate(self.elements)}
         n = len(self.elements)
-        self.mul = [[self.index[a.mul(b)] for b in self.elements] for a in self.elements]
-        self.add = [[self.index[a.add(b)] for b in self.elements] for a in self.elements]
-        self.neg = [self.index[-a] for a in self.elements]
-        self.zero = self.index[algebra.zero()]
+        ids = list(range(n))
+        self.index = dict(zip(self.elements, ids))
+        p = algebra.ring.p
+        weights = [p**t for t in range(len(algebra.positions()))]
+        # bumps[t][x]: x with its digit of weight p**t raised by one, mod p
+        bumps = [[ids[x - (p - 1) * w if x // w % p == p - 1 else x + w] for x in ids]
+                 for w in weights]
+        self.add = [_linear_row(ids[a], bumps, p) for a in ids]
+        basis = [self.elements[w] for w in weights]
+        self.zero = ids[0]
+        self.mul = [
+            _linear_row(self.zero, [self.add[self.index[a.mul(e)]] for e in basis], p)
+            for a in self.elements
+        ]
+        self.neg = [ids[row.index(self.zero)] for row in self.add]
         self.one = self.index[algebra.identity()]
-        self.inverse = []
-        for m in self.elements:
-            inv = algebra.inverse(m)
-            self.inverse.append(None if inv is None else self.index[inv])
-        self.units = [i for i, v in enumerate(self.inverse) if v is not None]
+        self.inverse = [ids[row.index(self.one)] if self.one in row else None
+                        for row in self.mul]
+        self.units = [i for i in ids if self.inverse[i] is not None]
         self.n = n
 
     def scalar_index(self, ring_value):

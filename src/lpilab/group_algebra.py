@@ -111,19 +111,21 @@ class LaurentElement(FormalSum):
             raise PreconditionError(f"unassigned variables: {sorted(missing)}")
         first = next(iter(values.values()))
         emb = embed_into(self.ring, first.ring)
-        one = first.one_like()
         inverses = {}
         acc = first.zero_like()
         for w, c in self.terms.items():
-            val = one
+            # a term starts from its first factor and power(1) is the base
+            # itself, so no product by the identity is ever taken
+            val = None
             for g, exp in w.syllables:
                 base = values[g]
                 if exp < 0:
                     if g not in inverses:
                         inverses[g] = inverse(g, base)
                     base = inverses[g]
-                val = val.mul(base.power(abs(exp)))
-            acc = acc.add(val.scale(emb(c)))
+                base = base.power(abs(exp))
+                val = base if val is None else val.mul(base)
+            acc = acc.add((first.one_like() if val is None else val).scale(emb(c)))
         return acc
 
     def substitute(self, var, replacement):

@@ -94,13 +94,17 @@ class Matrix:
     def power(self, k):
         if k < 0:
             raise PreconditionError("power exponent must be >= 0")
-        acc = identity(self.ring, self.n)
+        if k == 0:
+            return identity(self.ring, self.n)
+        # square-and-multiply from the first factor, so m^1 costs no product
+        acc = None
         base = self
         while k:
             if k & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if k > 1 else base
+                acc = base if acc is None else acc.mul(base)
             k >>= 1
+            if k:
+                base = base.mul(base)
         return acc
 
     def is_zero(self):

@@ -508,8 +508,10 @@ class FormalSum:
     def power(self, k):
         if k < 0:
             raise PreconditionError("power exponent must be >= 0")
-        acc = self.one_like()
-        for _ in range(k):
+        if k == 0:
+            return self.one_like()
+        acc = self
+        for _ in range(k - 1):
             acc = acc.mul(self)
         return acc
 

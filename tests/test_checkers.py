@@ -23,6 +23,7 @@ from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
 from lpilab.matrix_algebra import Matrix, evaluate, matrix_unit, parse_algebra
 from lpilab.rings import ZZ, PrimeField, UniPoly, unipoly_eval
+from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
 M2F2 = parse_algebra("M2@Fp:2")
@@ -103,6 +104,68 @@ def test_check_lpi_zero_element():
 def test_check_lpi_cap():
     with pytest.raises(CapExceeded):
         check_lpi(M2F2, standard_polynomial(4), cap=1000)
+
+
+def _assert_tables_match(tb, pairs):
+    """The listed mul and add entries, and every neg, inverse and unit
+    entry, equal what Matrix arithmetic and Algebra.inverse give through
+    tb.index."""
+    A, E, index = tb.algebra, tb.elements, tb.index
+    assert E == list(A.enumerate_elements())
+    assert E[tb.zero] == A.zero() and E[tb.one] == A.identity()
+    for a, b in pairs:
+        assert tb.mul[a][b] == index[E[a].mul(E[b])], (A.descriptor(), a, b)
+        assert tb.add[a][b] == index[E[a].add(E[b])], (A.descriptor(), a, b)
+    inverses = [A.inverse(m) for m in E]
+    assert tb.neg == [index[-m] for m in E]
+    assert tb.inverse == [None if inv is None else index[inv] for inv in inverses]
+    assert tb.units == [i for i, inv in enumerate(inverses) if inv is not None]
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["M2@Fp:2", "M2@Fp:3", "T2@Fp:5", "T3@Fp:2", "D2@Fp:7", "D3@Fp:3"])
+def test_tables_match_matrix_arithmetic(descriptor):
+    tb = checkers._Tables(parse_algebra(descriptor))
+    _assert_tables_match(tb, [(a, b) for a in range(tb.n) for b in range(tb.n)])
+
+
+@pytest.mark.parametrize("descriptor", ["M3@Fp:2", "T2@Fp:7", "T3@Fp:3"])
+def test_tables_match_matrix_arithmetic_sampled(descriptor):
+    tb = checkers._Tables(parse_algebra(descriptor))
+    rng = random.Random(descriptor)
+    _assert_tables_match(tb, [(rng.randrange(tb.n), rng.randrange(tb.n)) for _ in range(2000)])
+    # every entry is one of the n shared index objects, not a fresh int
+    entries = {id(x) for rows in (tb.mul, tb.add) for row in rows for x in row}
+    assert len(entries | {id(x) for x in tb.neg + tb.units}) <= tb.n
+
+
+def test_tables_cross_check_catches_a_broken_recurrence(monkeypatch):
+    linear_row = checkers._linear_row
+    # the digit weights taken in the wrong order
+    monkeypatch.setattr(checkers, "_linear_row",
+                        lambda start, steps, p: linear_row(start, steps[::-1], p))
+    for descriptor in ("M2@Fp:3", "T2@Fp:5"):
+        tb = checkers._Tables(parse_algebra(descriptor))
+        with pytest.raises(AssertionError):
+            _assert_tables_match(tb, [(a, b) for a in range(tb.n) for b in range(tb.n)])
+
+
+COMMUTATOR = parse_element("x1*x2-x2*x1")
+
+
+def test_table_cap_admits_729_elements():
+    # T3(F3) has 729 elements, over the old cap of 512
+    algebra = parse_algebra("T3@Fp:3")
+    v = check_lpi(algebra, COMMUTATOR)
+    assert v.outcome == "counterexample"
+    value = evaluate(COMMUTATOR, v.witness["assignment"], algebra)
+    assert not value.is_zero() and value == v.witness["value"]
+
+
+def test_table_cap_names_the_cap():
+    assert checkers.TABLE_CAP == 1024
+    with pytest.raises(CapExceeded, match="2401 elements indexed; table cap is 1024"):
+        check_lpi(parse_algebra("M2@Fp:7"), COMMUTATOR)
 
 
 def test_al_verify_holds_exactly():

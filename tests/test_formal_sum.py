@@ -74,6 +74,8 @@ def test_laurent_power():
     e = LaurentElement(ZZ, [(Word(), 1), (Word.gen(1, -1), 2)])
     assert e.power(0) == LaurentElement.one(ZZ)
     assert e.power(3) == e.mul(e).mul(e)
+    # the first factor starts the product: no product by the identity
+    assert e.power(1) is e
     with pytest.raises(PreconditionError):
         e.power(-1)
 

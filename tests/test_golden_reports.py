@@ -2,8 +2,10 @@
 stay byte-identical, apart from the `elapsed_ms` lines.
 
 The files under tests/data/golden/ were frozen from the commit before the
-formal-sum refactor, so a change to the internals that alters any report
-text shows up here. When a report change is intended, regenerate them with
+formal-sum refactor, and the three table_build ones (the benchmark's
+workload of that name) from the commit before the tables were built by
+linearity, so a change to the internals that alters any report text shows
+up here. When a report change is intended, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -31,6 +33,11 @@ CASES = {
     "check_gi_commutator_m2f2": (
         ["check-gi", "--word", "x1*x2*x1^-1*x2^-1", "--algebra", "M2@Fp:2"], 1),
     "quotient_n2": (["quotient", "--n", "2", "--samples", "50", "--seed", "0"], 0),
+    # the three table_build requests of the benchmark
+    "check_lpi_comm_m3f2": (["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "M3@Fp:2"], 1),
+    "check_lpi_comm_t2f7": (["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "T2@Fp:7"], 1),
+    "check_lpi_x17_d2f17_workers2": (
+        ["check-lpi", "--expr", "x1^17-x1", "--algebra", "D2@Fp:17", "--workers", "2"], 0),
 }
 
 

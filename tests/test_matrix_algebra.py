@@ -4,7 +4,7 @@ import pytest
 
 from lpilab.errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
 from lpilab.freegroup import Word
-from lpilab.group_algebra import LaurentElement, gi_to_lpi
+from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
 from lpilab.matrix_algebra import (
     Algebra,
     Matrix,
@@ -204,3 +204,29 @@ def test_evaluate_matches_manual_product():
         b = alg.sample_element(rng)
         manual = a.mul(a).mul(b).mul(mat_inverse(a)).scale(alg.ring.from_int(2))
         assert evaluate(e, (a, b)) == manual
+
+
+def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
+    algebra = parse_algebra("M2@Fp:3")
+    rng = random.Random(3)
+    xs = [algebra.sample_element(rng) for _ in range(3)]
+    s3 = standard_polynomial(3)
+    expected = evaluate(s3, xs)
+    calls = []
+    mul = Matrix.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counted)
+    assert evaluate(s3, xs) == expected
+    # 6 words of 3 letters each: two products per word
+    assert len(calls) == 12
+    calls.clear()
+    m = xs[0]
+    assert m.power(1) is m and len(calls) == 0
+    assert m.power(0) == identity(f3, 2)
+    assert m.power(5) == mul(mul(mul(mul(m, m), m), m), m)
+    # square-and-multiply: m^2, m^4 and m^4 * m
+    assert len(calls) == 3
