@@ -27,9 +27,15 @@ element enumeration and report the first violation, which makes verdicts
 reproducible and independent of how the work is partitioned: with several
 workers each contiguous chunk of the first variable reports its earliest
 hit, and evaluations are counted only up to the first chunk with a hit.
+One sweep, `_scan`, owns that order for every element. What it evaluates
+at each tuple is a program built from the element itself: the subset DP
+when the element's image in the algebra's ring is a standard polynomial
+S_k on x1..xk, the term-by-term program otherwise. Both give the same
+value at every tuple, so the choice changes neither witness nor count.
 """
 
 import itertools
+import math
 import random
 import time
 from collections import namedtuple
@@ -50,7 +56,8 @@ from .matrix_algebra import (
     parse_algebra,
 )
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
-from .rings import UniPoly, ZZ, _field_for, embed_into, unipoly_eval, vandermonde_solve
+from .rings import (UniPoly, ZZ, _field_for, _row_reduce, embed_into, ring_from_descriptor,
+                    unipoly_eval, vandermonde_solve)
 
 TABLE_CAP = 1024
 DEFAULT_BUDGET = 1000
@@ -245,13 +252,14 @@ class _Tables:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scan cores
+# the exhaustive scan
 
 
-def _element_program(tb, e):
-    """Compile a Laurent element against the tables: per term a scalar
-    index (None when the coefficient is 1) and the syllable list mapped to
-    variable slots."""
+def _term_program(tb, e):
+    """The program that evaluates e term by term on the tables. enter(d,
+    idx) caches the powers of variable d that e uses, inverses included;
+    value() folds each term's syllables from that cache and scales it by
+    its coefficient's index (None when the coefficient is 1)."""
     vars_sorted = sorted(e.variables())
     slot = {v: i for i, v in enumerate(vars_sorted)}
     emb = embed_into(e.ring, tb.algebra.ring)
@@ -264,75 +272,40 @@ def _element_program(tb, e):
     for _, sylls in terms:
         for s, x in sylls:
             exps[s].add(x)
-    return vars_sorted, terms, [sorted(s) for s in exps]
-
-
-def _scan_generic(tb, e, ground, outer_range):
-    """Sweep ground**l in lexicographic order, returning the first tuple
-    of indices where e evaluates to nonzero, plus the evaluation count.
-    outer_range restricts the first variable's positions within ground, so
-    workers can split the space without changing the order."""
-    vars_sorted, terms, exps = _element_program(tb, e)
-    l = len(vars_sorted)
-    MUL, ADD, NEG, INV = tb.mul, tb.add, tb.neg, tb.inverse
+    exps = [sorted(x) for x in exps]
+    MUL, ADD, INV = tb.mul, tb.add, tb.inverse
     ZERO, ONE = tb.zero, tb.one
-    pow_cache = [dict() for _ in range(l)]
-    assign = [0] * l
-    evaluations = 0
-    witness = None
+    powers = [dict() for _ in vars_sorted]
 
-    def set_var(d, idx):
-        cache = pow_cache[d]
-        cache.clear()
+    def enter(d, idx):
+        cache = powers[d]
         for x in exps[d]:
-            if x >= 0:
-                base = idx
-                k = x
-            else:
-                base = INV[idx]
-                k = -x
+            base = idx if x >= 0 else INV[idx]
             acc = ONE
-            for _ in range(k):
+            for _ in range(abs(x)):
                 acc = MUL[acc][base]
             cache[x] = acc
 
-    def leaf():
+    def value():
         acc = ZERO
         for cidx, sylls in terms:
             v = ONE
             for s, x in sylls:
-                v = MUL[v][pow_cache[s][x]]
+                v = MUL[v][powers[s][x]]
             if cidx is not None:
                 v = MUL[cidx][v]
             acc = ADD[acc][v]
         return acc
 
-    def rec(d):
-        nonlocal evaluations, witness
-        positions = outer_range if d == 0 else range(len(ground))
-        for pos in positions:
-            assign[d] = ground[pos]
-            set_var(d, ground[pos])
-            if d + 1 == l:
-                evaluations += 1
-                if leaf() != ZERO:
-                    witness = tuple(assign)
-                    return True
-            else:
-                if rec(d + 1):
-                    return True
-        return False
-
-    if l == 0:
-        # constant element: one trivial evaluation decides everything
-        val = leaf()
-        return (() if val != ZERO else None), 1
-    rec(0)
-    return witness, evaluations
+    return len(vars_sorted), enter, value
 
 
-def _standard_steps(k):
-    # S(mask) = sum over positions t of (-1)^(len-t) S(mask minus j_t) x_{j_t}
+def _standard_program(tb, k):
+    """The S_k subset DP. D[mask] is the standard polynomial on the
+    variables in mask, S(mask) = sum over its t-th variable j of
+    (-1)**(|mask| - t) S(mask - j) x_j, so entering variable d recomputes
+    only the masks whose highest variable is d, in order of size, which
+    cuts the per-tuple work well below evaluating k! words."""
     steps = {}
     for mask in range(1, 1 << k):
         elems = [j for j in range(k) if mask >> j & 1]
@@ -346,76 +319,89 @@ def _standard_steps(k):
         by_high[mask.bit_length() - 1].append(mask)
     for lst in by_high:
         lst.sort(key=lambda m: bin(m).count("1"))
-    return steps, by_high
-
-
-def _scan_standard(tb, k, ground, outer_range):
-    """The S_k sweep. Subsets of variables are states of a dynamic program
-    keyed by bitmask; fixing variables one loop level at a time means only
-    the masks whose highest variable just changed need recomputing, which
-    cuts the per-tuple work well below evaluating k! words."""
-    steps, by_high = _standard_steps(k)
     MUL, ADD, NEG = tb.mul, tb.add, tb.neg
-    ZERO = tb.zero
-    FULL = (1 << k) - 1
     D = [tb.one] * (1 << k)
     assign = [0] * k
+
+    def enter(d, idx):
+        assign[d] = idx
+        for mask in by_high[d]:
+            acc = None
+            for sub, j, flip in steps[mask]:
+                v = MUL[D[sub]][assign[j]]
+                if flip:
+                    v = NEG[v]
+                acc = v if acc is None else ADD[acc][v]
+            D[mask] = acc
+
+    full = (1 << k) - 1
+    return k, enter, lambda: D[full]
+
+
+def _program(tb, e):
+    """The program (nvars, enter, value) the scan runs for e: the subset DP
+    when e's image in the algebra's ring is S_k on x1..xk, else the term
+    program. The choice depends on e and the algebra alone, so the parent
+    and every worker make the same one."""
+    R = tb.algebra.ring
+    k = len(e.variables())
+    if e.variables() == set(range(1, k + 1)):
+        image = e.map_ring(R, embed_into(e.ring, R))
+        if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
+            return _standard_program(tb, k)
+    return _term_program(tb, e)
+
+
+def _scan(tb, e, ground, outer_range):
+    """Sweep ground**nvars in lexicographic order, returning the first tuple
+    of indices where e evaluates to nonzero (None when there is none) and
+    the evaluation count. outer_range restricts the first variable's
+    positions within ground, so workers can split the space without
+    changing the order."""
+    nvars, enter, value = _program(tb, e)
+    ZERO = tb.zero
+    if nvars == 0:
+        # constant element: one trivial evaluation decides everything
+        return (() if value() != ZERO else None), 1
+    assign = [0] * nvars
+    last = nvars - 1
     evaluations = 0
-    witness = None
 
     def rec(d):
-        nonlocal evaluations, witness
-        positions = outer_range if d == 0 else range(len(ground))
-        masks = by_high[d]
-        for pos in positions:
+        nonlocal evaluations
+        for pos in outer_range if d == 0 else range(len(ground)):
             idx = ground[pos]
             assign[d] = idx
-            for mask in masks:
-                acc = None
-                for sub, j, flip in steps[mask]:
-                    v = MUL[D[sub]][assign[j]]
-                    if flip:
-                        v = NEG[v]
-                    acc = v if acc is None else ADD[acc][v]
-                D[mask] = acc
-            if d + 1 == k:
+            enter(d, idx)
+            if d == last:
                 evaluations += 1
-                if D[FULL] != ZERO:
-                    witness = tuple(assign)
+                if value() != ZERO:
                     return True
-            else:
-                if rec(d + 1):
-                    return True
+            elif rec(d + 1):
+                return True
         return False
 
-    rec(0)
-    return witness, evaluations
-
-
-def _scan(tb, e, standard, ground, outer_range):
-    if standard:
-        return _scan_standard(tb, len(e.variables()), ground, outer_range)
-    return _scan_generic(tb, e, ground, outer_range)
+    return (tuple(assign) if rec(0) else None), evaluations
 
 
 def _scan_chunk(payload):
     """Worker entry point: rebuild the algebra and the element from plain
     data, scan one slice of the outermost variable, report the earliest
     hit. Everything crossing the process boundary is primitives."""
-    (descriptor, standard, element_data, ground_kind, start, stop, cap) = payload
+    (descriptor, ring, element_data, ground_kind, start, stop, cap) = payload
     algebra = parse_algebra(descriptor)
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
-    e = LaurentElement(algebra.ring, [(Word(s), c) for s, c in element_data])
-    return _scan(tb, e, standard, ground, range(start, stop))
+    e = LaurentElement(ring_from_descriptor(ring), [(Word(s), c) for s, c in element_data])
+    return _scan(tb, e, ground, range(start, stop))
 
 
-def _run_scan(algebra, e, standard, ground_kind, cap, workers):
+def _run_scan(algebra, e, ground_kind, cap, workers):
     """Scan the tuple space on the tables. Returns the (hit, evaluations)
     pair of each chunk in canonical order, a hit being a tuple of matrices,
     plus the ground size and the tuple space. Chunks split the first
     variable's positions into contiguous ranges, so the first chunk with a
-    hit holds the earliest one. standard selects the S_k subset DP."""
+    hit holds the earliest one."""
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
     nvars = len(e.variables())
@@ -428,14 +414,14 @@ def _run_scan(algebra, e, standard, ground_kind, cap, workers):
         bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
         element_data = [(w.syllables, c) for w, c in e.terms_sorted()]
         payloads = [
-            (algebra.descriptor(), standard, element_data, ground_kind, a, b, cap)
+            (algebra.descriptor(), e.ring.descriptor(), element_data, ground_kind, a, b, cap)
             for a, b in zip(bounds, bounds[1:])
             if a < b
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_chunk, payloads))
     else:
-        chunks = [_scan(tb, e, standard, ground, range(len(ground)))]
+        chunks = [_scan(tb, e, ground, range(len(ground)))]
     E = tb.elements
     chunks = [(None if hit is None else tuple(E[i] for i in hit), count)
               for hit, count in chunks]
@@ -446,8 +432,8 @@ def _run_scan(algebra, e, standard, ground_kind, cap, workers):
 # identity checks
 
 
-def _identity_search(t0, algebra, e, standard, ground_kind, mode, budget, seed, cap,
-                     workers, details):
+def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
+                     details):
     """The search behind check_lpi and al_verify: the table kernels in
     exhaustive mode, evaluate at seeded samples in random mode. Either way
     the witness carries evaluate's value and _plain_eval must reproduce
@@ -455,7 +441,7 @@ def _identity_search(t0, algebra, e, standard, ground_kind, mode, budget, seed, 
     vars_sorted = sorted(e.variables())
 
     def scan():
-        chunks, ground_size, space = _run_scan(algebra, e, standard, ground_kind, cap, workers)
+        chunks, ground_size, space = _run_scan(algebra, e, ground_kind, cap, workers)
         details.update(ground=ground_kind, ground_size=ground_size, tuple_space=space)
         for hit, count in chunks:
             if hit is not None:
@@ -502,8 +488,8 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
                 "prefilter": "coefficient sum is nonzero, the identity tuple violates",
             },
         )
-    return _identity_search(t0, algebra, e, False, ground_kind, mode, budget, seed, cap,
-                            workers, {"ground": ground_kind})
+    return _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
+                            {"ground": ground_kind})
 
 
 def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
@@ -514,9 +500,8 @@ def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
 
     algebra = Algebra("M", n, PrimeField(p))
     k = 2 * n
-    return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), True,
-                            "elements", mode, budget, seed, cap, workers,
-                            {"identity": f"S_{k}"})
+    return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), "elements",
+                            mode, budget, seed, cap, workers, {"identity": f"S_{k}"})
 
 
 def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
@@ -737,21 +722,7 @@ def _kernel_basis(m):
     R = m.ring
     n = m.n
     rows = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != R.zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = R.inv(rows[r][col])
-        rows[r] = [R.mul(inv, x) for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != R.zero:
-                f = rows[i][col]
-                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
+    pivots = _row_reduce(R, rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

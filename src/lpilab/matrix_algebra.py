@@ -11,7 +11,7 @@ import ast
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
-from .rings import PrimeField, ZZ, _invert_square
+from .rings import PrimeField, _field_for, _invert_square
 
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
@@ -197,35 +197,19 @@ def det(m):
 def mat_inverse(m):
     """The inverse inside the algebra, or None when m is not a unit.
 
-    Over a field this is Gauss-Jordan elimination. Over ZZ a matrix is a
-    unit exactly when its determinant is 1 or -1, and then the adjugate
-    divided by the determinant stays integral.
+    Gauss-Jordan elimination over the ring's field. Over ZZ that field is
+    QQ, and a matrix is a unit exactly when its rational inverse is
+    integral.
     """
     R = m.ring
-    n = m.n
     if R.is_field:
         rows = _invert_square(R, m.entries)
         return None if rows is None else Matrix(R, rows)
-    if R == ZZ:
-        d = det(m)
-        if d not in (1, -1):
-            return None
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [m.entries[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = det(Matrix(R, minor)) if n > 1 else 1
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                row.append(cof * d)
-            rows.append(row)
-        return Matrix(R, rows)
-    raise PreconditionError(f"no inversion routine for ring {R!r}")
+    field, lift = _field_for(R)
+    rows = _invert_square(field, [[lift(x) for x in row] for row in m.entries])
+    if rows is None or any(x.denominator != 1 for row in rows for x in row):
+        return None
+    return Matrix(R, [[int(x) for x in row] for row in rows])
 
 
 class Algebra:

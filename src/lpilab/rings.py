@@ -572,25 +572,34 @@ def _field_for(ring):
     raise PreconditionError(f"no solve field for {ring!r}")
 
 
+def _row_reduce(field, rows, ncols):
+    """Gauss-Jordan reduction, in place, of a list of rows (lists of field
+    scalars) to reduced row echelon form, with pivots sought in the first
+    ncols columns only. Returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != field.zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f != field.zero:
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def _invert_square(field, rows):
     """Gauss-Jordan inverse of a small square matrix of field scalars, as
     a list of rows, or None when the matrix is singular."""
     n = len(rows)
     aug = [list(rows[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != field.zero), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f == field.zero:
-                continue
-            aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], aug[col])]
+    if len(_row_reduce(field, aug, n)) < n:
+        return None
     return [row[n:] for row in aug]
 
 

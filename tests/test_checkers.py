@@ -27,6 +27,7 @@ from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
 M2F2 = parse_algebra("M2@Fp:2")
+T3F2 = parse_algebra("T3@Fp:2")
 
 
 def test_check_lpi_standard_identity_holds():
@@ -166,6 +167,63 @@ def test_table_cap_names_the_cap():
     assert checkers.TABLE_CAP == 1024
     with pytest.raises(CapExceeded, match="2401 elements indexed; table cap is 1024"):
         check_lpi(parse_algebra("M2@Fp:7"), COMMUTATOR)
+
+
+def _refuse(monkeypatch, program):
+    """Make building the named scan program fail, so a scan that runs it
+    raises, in the parent and in forked workers alike."""
+    def refused(*args):
+        raise AssertionError(f"{program} was built")
+
+    monkeypatch.setattr(checkers, program, refused)
+
+
+@pytest.mark.parametrize("k, descriptor", [
+    (k, d) for k in (2, 3) for d in ("M2@Fp:2", "M2@Fp:3", "T2@Fp:3", "T3@Fp:2", "D2@Fp:3")
+] + [(4, "M2@Fp:2"), (4, "D2@Fp:3")])
+def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
+    tb = checkers._Tables(parse_algebra(descriptor))
+    ground = list(range(tb.n))
+    standard, term = checkers._standard_program, checkers._term_program
+    half = round(tb.n / 2)
+    # the whole scan, then split at the first variable as two workers split it
+    for ranges in ([range(tb.n)], [range(half), range(half, tb.n)]):
+        results = []
+        for program in (lambda tb, e: standard(tb, k), term):
+            monkeypatch.setattr(checkers, "_program", program)
+            results.append([checkers._scan(tb, standard_polynomial(k), ground, r)
+                            for r in ranges])
+        assert results[0] == results[1], ranges
+
+
+def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
+    # S_3 with the sign of x3*x2*x1 flipped: S_3 again mod 2, not mod 3
+    flipped = parse_element("S(3) + 2*x3*x2*x1")
+    assert flipped.coefficient(Word(((3, 1), (2, 1), (1, 1)))) == 1
+    m2f3 = checkers._Tables(parse_algebra("M2@Fp:3"))
+    with monkeypatch.context() as m:
+        _refuse(m, "_standard_program")
+        assert checkers._program(m2f3, flipped)[0] == 3
+    _refuse(monkeypatch, "_term_program")
+    assert checkers._program(checkers._Tables(M2F2), flipped)[0] == 3
+    v = check_lpi(M2F2, flipped)
+    assert v.outcome == "counterexample" and v.evaluations == 293
+
+
+def test_standard_identities_run_the_subset_dp(monkeypatch):
+    _refuse(monkeypatch, "_term_program")
+    v = check_lpi(T3F2, standard_polynomial(4))
+    assert v.outcome == "counterexample" and v.evaluations == 270609
+    v = al_verify(2, 2, workers=2)
+    assert v.holds() and v.evaluations == 65536
+
+
+def test_workers_rebuild_the_element_over_its_own_ring():
+    # 2*x3 vanishes mod 2, yet the tuples still have three variables
+    e = parse_element("x1*x2-x2*x1+2*x3")
+    v1, v2 = check_lpi(M2F2, e), check_lpi(M2F2, e, workers=2)
+    assert v1.witness == v2.witness and v1.evaluations == v2.evaluations == 289
+    assert set(v2.witness["assignment"]) == {1, 2, 3}
 
 
 def test_al_verify_holds_exactly():
@@ -431,7 +489,6 @@ def _identity_value(e, assignment):
     return _some_value(assignment).one_like()
 
 
-T3F2 = parse_algebra("T3@Fp:2")
 S3 = standard_polynomial(3)
 
 # (checker and mode, what to break, its stand-in, the call). Either the
@@ -446,8 +503,11 @@ GATE_CASES = [
      lambda: check_lpi(M2F2, S3, workers=2)),
     ("check_lpi/random", "_plain_eval", _zero_value,
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
-    ("al_verify/exhaustive", "_scan_standard", lambda tb, k, ground, outer: ((0,) * k, 1),
-     lambda: al_verify(1, 2)),
+    ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
+     lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
+    # the S_k program reports a nonzero value at the first tuple
+    ("al_verify/exhaustive", "_standard_program",
+     lambda tb, k: (k, lambda d, idx: None, lambda: tb.one), lambda: al_verify(1, 2)),
     ("al_verify/random", "evaluate", _identity_value,
      lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
     ("check_group_identity/exhaustive", "evaluate", _identity_value,

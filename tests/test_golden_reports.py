@@ -2,14 +2,18 @@
 stay byte-identical, apart from the `elapsed_ms` lines.
 
 The files under tests/data/golden/ were frozen from the commit before the
-formal-sum refactor, and the three table_build ones (the benchmark's
-workload of that name) from the commit before the tables were built by
-linearity, so a change to the internals that alters any report text shows
-up here. When a report change is intended, regenerate them with
+formal-sum refactor, the three table_build ones (the benchmark's workload
+of that name) from the commit before the tables were built by linearity,
+and the two S_k scans (`check_lpi_s4_t3f2`, `al_verify_n2f2_workers2`)
+from the commit before one sweep took over both scan kernels, so a change
+to the internals that alters any report text shows up here.
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    python tests/test_golden_reports.py             # list the cases
+    python tests/test_golden_reports.py NAME ...    # re-freeze these cases
 
-and say in CHANGES.md which report changed and why.
+Only the cases named are written. Freeze a new case from the commit
+before the change it guards; when a report change is intended, re-freeze
+that case alone and say in CHANGES.md which report changed and why.
 """
 
 import os
@@ -38,6 +42,9 @@ CASES = {
     "check_lpi_comm_t2f7": (["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "T2@Fp:7"], 1),
     "check_lpi_x17_d2f17_workers2": (
         ["check-lpi", "--expr", "x1^17-x1", "--algebra", "D2@Fp:17", "--workers", "2"], 0),
+    # S_k scans, which take the subset DP
+    "check_lpi_s4_t3f2": (["check-lpi", "--expr", "S(4)", "--algebra", "T3@Fp:2"], 1),
+    "al_verify_n2f2_workers2": (["al-verify", "--n", "2", "--field", "Fp:2", "--workers", "2"], 0),
 }
 
 
@@ -63,8 +70,16 @@ def test_report_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
+    if not names:
+        print("\n".join(sorted(CASES)))
+        print("name the cases to re-freeze; nothing written", file=sys.stderr)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, (argv, status) in sorted(CASES.items()):
+    for name in names:
+        argv, status = CASES[name]
         code, text = run_report(argv)
         if code != status:
             raise SystemExit(f"{name}: exit status {code}, expected {status}")
