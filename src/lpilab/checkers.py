@@ -17,8 +17,8 @@ search and confirmation never use the same evaluator:
   a term-by-term fold with no tables and no power or inverse caches. It
   must stay apart from `LaurentElement.at`: a defect in that shared fold
   would otherwise reproduce itself in the confirmation;
-- group identities are searched with `_plain_eval` and confirmed by
-  `evaluate`;
+- group identities w = 1 are the identity search of 1 - w over the units,
+  so their hits are confirmed as the hits above are;
 - the nil searches recompute their witnesses with matrix products taken
   in a different order, and powers taken another way, than the search.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, PreconditionError, SolveError
 from .freegroup import Word
-from .group_algebra import LaurentElement, standard_polynomial
+from .group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
 from .matrix_algebra import (
     DEFAULT_CAP,
     Algebra,
@@ -218,11 +218,10 @@ class _Tables:
     """
 
     def __init__(self, algebra, cap=DEFAULT_CAP):
-        size = algebra.size()
-        if size is None or size > min(cap, TABLE_CAP):
-            raise CapExceeded(
-                f"{algebra.descriptor()} needs {size} elements indexed; table cap is {TABLE_CAP}"
-            )
+        size = algebra._require_enumerable(cap)
+        if size > TABLE_CAP:
+            raise CapExceeded(f"{algebra.descriptor()} needs {size} elements indexed; "
+                              f"table cap is {TABLE_CAP}; use random mode")
         self.algebra = algebra
         self.elements = list(algebra.enumerate_elements(cap))
         n = len(self.elements)
@@ -434,10 +433,10 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
 
 def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
                      details):
-    """The search behind check_lpi and al_verify: the table kernels in
-    exhaustive mode, evaluate at seeded samples in random mode. Either way
-    the witness carries evaluate's value and _plain_eval must reproduce
-    it."""
+    """The search behind check_lpi, al_verify and check_group_identity: the
+    table sweep in exhaustive mode, evaluate at seeded samples in random
+    mode. Either way the witness carries evaluate's value and _plain_eval
+    must reproduce it."""
     vars_sorted = sorted(e.variables())
 
     def scan():
@@ -508,38 +507,21 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
                          seed=None, cap=DEFAULT_CAP):
     """Does the word evaluate to the identity matrix on every unit tuple?
 
-    The search folds the word with _plain_eval; evaluate confirms a hit."""
+    w = 1 holds on the units exactly when 1 - w vanishes on every unit
+    tuple, so this is the identity search of 1 - w with the units as ground
+    set, whatever the signs of w's exponents. The witness value is w's
+    value, 1 minus the confirmed value of 1 - w."""
     t0 = time.monotonic()
     _check_mode(mode)
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
-    vars_sorted = sorted(w.variables())
-    word = LaurentElement(ZZ, [(w, 1)])
-    ident = algebra.identity()
-    details = {}
-
-    def probe(assignment):
-        value = _plain_eval(word, assignment)
-        return (None if value == ident else {"assignment": assignment, "value": value}), 1
-
-    def tuples():
-        units = list(algebra.enumerate_units(cap))
-        space = len(units) ** len(vars_sorted)
-        if space > cap:
-            raise CapExceeded(f"unit tuple space {space} exceeds the cap {cap}")
-        details["units"] = len(units)
-        for combo in itertools.product(units, repeat=len(vars_sorted)):
-            yield probe(dict(zip(vars_sorted, combo)))
-
-    def sample(rng):
-        return probe({g: algebra.sample_unit(rng) for g in vars_sorted})
-
-    def confirm(hit):
-        return hit["value"] != ident and evaluate(word, hit["assignment"]) == hit["value"]
-
-    witness, evaluations = _first_hit(_draws(mode, tuples, sample, budget, seed))
-    return _search_verdict(t0, witness, confirm, mode, seed, evaluations, details)
+    v = _identity_search(t0, algebra, gi_to_lpi(w), "units", mode, budget, seed, cap, 1, {})
+    if mode == "exhaustive":
+        v.details = {"units": v.details["ground_size"]}
+    if v.witness is not None:
+        v.witness["value"] = algebra.identity() - v.witness["value"]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -549,48 +531,30 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
 def minimal_polynomial(m):
     """The monic least-degree polynomial killing the matrix.
 
-    Found as the first linear dependency among I, m, m^2, ... under exact
-    Gaussian elimination; integer matrices route through the rationals and
-    come back integral (monic divisors of monic integer polynomials are
-    integer polynomials).
+    The powers I, m, ..., m^n, flattened, are the columns of a matrix in
+    reduced row echelon form. Its first non-pivot column k is the least
+    dependent power, and that column holds the coefficients of
+    m^k = sum_{i<k} c_i m^i. Integer matrices route through the rationals
+    and come back integral (monic divisors of monic integer polynomials
+    are integer polynomials).
     """
     R = m.ring
     field, lift = _field_for(R)
     n = m.n
-    rows = []  # (pivot, vector, combo) in echelon form
-    power = identity(R, n)
-    k = 0
-    while True:
-        vec = [lift(x) for row in power.entries for x in row]
-        combo = [field.zero] * (k + 1)
-        combo[k] = field.one
-        for pivot, rvec, rcombo in rows:
-            c = vec[pivot]
-            if c == field.zero:
-                continue
-            vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, rvec)]
-            combo = [
-                field.sub(a, field.mul(c, b))
-                for a, b in zip(combo, rcombo + [field.zero] * (len(combo) - len(rcombo)))
-            ]
-        pivot = next((i for i, v in enumerate(vec) if v != field.zero), None)
-        if pivot is None:
-            if R == ZZ:
-                coeffs = []
-                for c in combo:
-                    if c.denominator != 1:
-                        raise SolveError("minimal polynomial not integral; implementation bug")
-                    coeffs.append(int(c))
-                return UniPoly(ZZ, coeffs)
-            return UniPoly(R, combo)
-        inv = field.inv(vec[pivot])
-        vec = [field.mul(inv, v) for v in vec]
-        combo = [field.mul(inv, v) for v in combo]
-        rows.append((pivot, vec, combo))
-        power = power.mul(m)
-        k += 1
-        if k > n:
-            raise SolveError("no dependency up to degree n; implementation bug")
+    powers = [identity(R, n)]
+    for _ in range(n):
+        powers.append(powers[-1].mul(m))
+    rows = [[lift(p.entries[i][j]) for p in powers] for i in range(n) for j in range(n)]
+    pivots = _row_reduce(field, rows, n + 1)
+    k = next((c for c in range(n + 1) if c not in pivots), None)
+    if k is None:
+        raise SolveError("no dependency up to degree n; implementation bug")
+    coeffs = [field.neg(rows[i][k]) for i in range(k)] + [field.one]
+    if R == ZZ:
+        if any(c.denominator != 1 for c in coeffs):
+            raise SolveError("minimal polynomial not integral; implementation bug")
+        coeffs = [int(c) for c in coeffs]
+    return UniPoly(R, coeffs)
 
 
 def _nil_index(tb, idx, bound):

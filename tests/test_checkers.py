@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +23,9 @@ from lpilab.checkers import (
 from lpilab.errors import CapExceeded, PreconditionError, SolveError
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
-from lpilab.matrix_algebra import Matrix, evaluate, matrix_unit, parse_algebra
-from lpilab.rings import ZZ, PrimeField, UniPoly, unipoly_eval
-from lpilab.textio import parse_element
+from lpilab.matrix_algebra import Matrix, det, evaluate, matrix_unit, parse_algebra
+from lpilab.rings import QQ, ZZ, PrimeField, UniPoly, unipoly_eval
+from lpilab.textio import parse_element, parse_word
 
 f2 = PrimeField(2)
 M2F2 = parse_algebra("M2@Fp:2")
@@ -169,6 +171,24 @@ def test_table_cap_names_the_cap():
         check_lpi(parse_algebra("M2@Fp:7"), COMMUTATOR)
 
 
+def test_tables_name_the_limit_that_refused():
+    with pytest.raises(PreconditionError, match="M2@ZZ is infinite; enumeration needs a prime"):
+        check_lpi(parse_algebra("M2@ZZ"), COMMUTATOR)
+    with pytest.raises(PreconditionError, match="M2@ZZ is infinite"):
+        nil_exponent_search(parse_algebra("M2@ZZ"))
+    with pytest.raises(CapExceeded, match="M2@Fp:2 has 16 elements, over the cap 10; use random"):
+        al_verify(2, 2, cap=10)
+
+
+def test_exhaustive_check_gi_keeps_to_the_table_cap():
+    # GL_2(F_7) has exponent dividing 336, but M2(F_7) has 2401 elements
+    m2f7, w = parse_algebra("M2@Fp:7"), Word.gen(1, 336)
+    with pytest.raises(CapExceeded, match="2401 elements indexed; table cap is 1024; use random"):
+        check_group_identity(m2f7, w)
+    v = check_group_identity(m2f7, w, mode="random", budget=20, seed=1)
+    assert v.holds() and v.evaluations == 20
+
+
 def _refuse(monkeypatch, program):
     """Make building the named scan program fail, so a scan that runs it
     raises, in the parent and in forked workers alike."""
@@ -255,6 +275,40 @@ def test_check_group_identity():
     assert check_group_identity(M2F2, Word()).holds()
 
 
+def _reference_group_identity(algebra, w):
+    """Every unit tuple in canonical order, the word folded by _plain_eval
+    and compared with the identity: the outcome, the evaluations and the
+    witness check_group_identity must report."""
+    word = LaurentElement(ZZ, [(w, 1)])
+    vars_sorted = sorted(w.variables())
+    units = list(algebra.enumerate_units())
+    tuples = itertools.product(units, repeat=len(vars_sorted))
+    for count, combo in enumerate(tuples, start=1):
+        assignment = dict(zip(vars_sorted, combo))
+        value = checkers._plain_eval(word, assignment)
+        if value != algebra.identity():
+            return "counterexample", count, {"assignment": assignment, "value": value}
+    return "holds", count, None
+
+
+@pytest.mark.parametrize("word, descriptor, outcome, evaluations", [
+    ("x1*x2*x1^-1*x2^-1", "M2@Fp:2", "counterexample", 2),
+    ("x1*x2*x1^-1*x2^-1", "T3@Fp:3", "counterexample", 219),
+    ("x1*x2*x1^-1*x2^-1", "D2@Fp:5", "holds", 256),
+    # [[x1, x2], x3]
+    ("x1*x2*x1^-1*x2^-1*x3*x2*x1*x2^-1*x1^-1*x3^-1", "T3@Fp:2", "holds", 512),
+    ("x1^6", "M2@Fp:2", "holds", 6),
+    ("x1^48", "M2@Fp:3", "holds", 48),
+    ("x1^2*x2^-1", "T2@Fp:3", "counterexample", 2),
+])
+def test_check_group_identity_matches_a_plain_unit_loop(word, descriptor, outcome, evaluations):
+    algebra, w = parse_algebra(descriptor), parse_word(word)
+    v = check_group_identity(algebra, w)
+    assert (v.outcome, v.evaluations, v.witness) == _reference_group_identity(algebra, w)
+    assert (v.outcome, v.evaluations) == (outcome, evaluations)
+    assert v.details == {"units": len(checkers._Tables(algebra).units)}
+
+
 def test_check_group_identity_random():
     v = check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)
     assert v.outcome == "counterexample"
@@ -285,6 +339,40 @@ def test_minimal_polynomial_annihilates_seeded():
         mu = minimal_polynomial(m)
         assert unipoly_eval(mu, m).is_zero()
         assert mu.coeff(mu.degree) == 1
+
+
+def _powers_independent(m, k):
+    """Are I, m, ..., m^(k-1) linearly independent? Over F_p their p**k
+    combinations must be distinct; over ZZ and QQ their Gram matrix must be
+    nonsingular."""
+    vecs = [[x for row in m.power(i).entries for x in row] for i in range(k)]
+    p = getattr(m.ring, "p", None)
+    if p is None:
+        gram = [[sum(Fraction(a) * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+        return det(Matrix(QQ, gram)) != 0
+    span = {tuple([0] * len(vecs[0]))}
+    for v in vecs:
+        span = {tuple((a + c * b) % p for a, b in zip(s, v)) for s in span for c in range(p)}
+    return len(span) == p**k
+
+
+def test_minimal_polynomial_is_least_and_annihilates():
+    rng = random.Random(2024)
+    rings = [ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+    for i in range(3000):
+        R = rings[i % 5]
+        n = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if R is QQ
+                 else R.coerce(0 if rng.random() < 0.4 else rng.randint(-3, 3))
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            rows = [rows[0][:] for _ in range(n)]
+        m = Matrix(R, rows)
+        mu = minimal_polynomial(m)
+        assert mu.coeff(mu.degree) == R.one and unipoly_eval(mu, m).is_zero(), m
+        assert _powers_independent(m, mu.degree), m
+        if R is ZZ:
+            assert all(type(c) is int for c in mu.coeffs)
 
 
 def test_nilbound_triangular_families_hold():
@@ -510,10 +598,14 @@ GATE_CASES = [
      lambda tb, k: (k, lambda d, idx: None, lambda: tb.one), lambda: al_verify(1, 2)),
     ("al_verify/random", "evaluate", _identity_value,
      lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
-    ("check_group_identity/exhaustive", "evaluate", _identity_value,
+    ("check_group_identity/exhaustive", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2))),
-    ("check_group_identity/random", "evaluate", _identity_value,
+    ("check_group_identity/random", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)),
+    # x1^6 = 1 on GL_2(F_2); the term program reports 1 - x1^6 as 1 at once
+    ("check_group_identity/exhaustive/false-hit", "_term_program",
+     lambda tb, e: (len(e.variables()), lambda d, idx: None, lambda: tb.one),
+     lambda: check_group_identity(M2F2, Word.gen(1, 6))),
     ("nil_exponent_search/exhaustive", "_reverify_quad", lambda w, power: False,
      lambda: nil_exponent_search(M2F2)),
     ("nil_exponent_search/exhaustive/m_max", "_reverify_quad", lambda w, power: False,

@@ -4,9 +4,11 @@ stay byte-identical, apart from the `elapsed_ms` lines.
 The files under tests/data/golden/ were frozen from the commit before the
 formal-sum refactor, the three table_build ones (the benchmark's workload
 of that name) from the commit before the tables were built by linearity,
-and the two S_k scans (`check_lpi_s4_t3f2`, `al_verify_n2f2_workers2`)
-from the commit before one sweep took over both scan kernels, so a change
-to the internals that alters any report text shows up here.
+the two S_k scans (`check_lpi_s4_t3f2`, `al_verify_n2f2_workers2`)
+from the commit before one sweep took over both scan kernels, and the four
+`check_gi_*` cases other than `check_gi_commutator_m2f2` from the commit
+before check-gi became the identity search of 1 - w on the tables, so a
+change to the internals that alters any report text shows up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -45,6 +47,17 @@ CASES = {
     # S_k scans, which take the subset DP
     "check_lpi_s4_t3f2": (["check-lpi", "--expr", "S(4)", "--algebra", "T3@Fp:2"], 1),
     "al_verify_n2f2_workers2": (["al-verify", "--n", "2", "--field", "Fp:2", "--workers", "2"], 0),
+    # check-gi: a positive word on the units, the benchmark's request, and
+    # random mode with and without a hit
+    "check_gi_x6_m2f2": (["check-gi", "--word", "x1^6", "--algebra", "M2@Fp:2"], 0),
+    "check_gi_commutator_d2f11": (
+        ["check-gi", "--word", "x1*x2*x1^-1*x2^-1", "--algebra", "D2@Fp:11"], 0),
+    "check_gi_commutator_m2f3_random": (
+        ["check-gi", "--word", "x1*x2*x1^-1*x2^-1", "--algebra", "M2@Fp:3", "--mode", "random",
+         "--seed", "5", "--budget", "300"], 1),
+    "check_gi_x6_m2f2_random": (
+        ["check-gi", "--word", "x1^6", "--algebra", "M2@Fp:2", "--mode", "random", "--seed", "3",
+         "--budget", "50"], 0),
 }
 
 
