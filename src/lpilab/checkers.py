@@ -10,13 +10,15 @@ Verdict. It refuses a missing witness and raises SolveError unless an
 evaluator the search did not use reproduces the hit. The one rule is that
 search and confirmation never use the same evaluator:
 
-- hits of the index-table kernels are confirmed by `evaluate`, which also
-  supplies the reported value;
-- hits of `evaluate` and `q_evaluate`, which are both thin wrappers around
-  one evaluation fold, `LaurentElement.at`, are confirmed by `_plain_eval`,
-  a term-by-term fold with no tables and no power or inverse caches. It
-  must stay apart from `LaurentElement.at`: a defect in that shared fold
-  would otherwise reproduce itself in the confirmation;
+- every identity search runs one compiled program, built from the
+  element by `group_algebra._program`: on the index tables in exhaustive
+  mode, on matrices or quotient elements in random mode. `evaluate` and
+  `q_evaluate` run the same program through `LaurentElement.at`, and an
+  exhaustive hit takes its reported value from `evaluate`. All these hits
+  are confirmed by `_plain_eval`, a term-by-term fold with no tables, no
+  programs and no power or inverse caches. It must stay apart from the
+  programs: a defect in them would otherwise reproduce itself in the
+  confirmation;
 - group identities w = 1 are the identity search of 1 - w over the units,
   so their hits are confirmed as the hits above are;
 - the nil searches recompute their witnesses with matrix products taken
@@ -28,14 +30,14 @@ reproducible and independent of how the work is partitioned: with several
 workers each contiguous chunk of the first variable reports its earliest
 hit, and evaluations are counted only up to the first chunk with a hit.
 One sweep, `_scan`, owns that order for every element. What it evaluates
-at each tuple is a program built from the element itself: the subset DP
-when the element's image in the algebra's ring is a standard polynomial
-S_k on x1..xk, the term-by-term program otherwise. Both give the same
-value at every tuple, so the choice changes neither witness nor count.
+at each tuple is the element's program: the subset DP when the element's
+image in the algebra's ring is a standard polynomial S_k on x1..xk, the
+term-by-term program otherwise. Both give the same value at every tuple,
+so the choice changes neither witness nor count.
 """
 
 import itertools
-import math
+import os
 import random
 import time
 from collections import namedtuple
@@ -44,7 +46,8 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, PreconditionError, SolveError
 from .freegroup import Word
-from .group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
+from .group_algebra import (LaurentElement, _program, _value_ops, gi_to_lpi,
+                             standard_polynomial)
 from .matrix_algebra import (
     DEFAULT_CAP,
     Algebra,
@@ -95,10 +98,14 @@ def _check_mode(mode):
 
 def _draws(mode, exhaustive, sample, budget, seed):
     """The candidate stream of a search: exhaustive() in canonical order,
-    or sample(rng) drawn budget times from a generator seeded with seed."""
+    or sample(rng) drawn budget times from a generator seeded with seed.
+    A random search needs a budget of at least one draw: with none it
+    would report holds having looked at nothing."""
     _check_mode(mode)
     if mode == "exhaustive":
         return exhaustive()
+    if budget < 1:
+        raise PreconditionError(f"random mode needs a budget of at least 1, got {budget}")
     # string-seeding goes through a stable hash, so substreams derived as
     # f"{seed}/{i}" reproduce across runs and platforms
     rng = random.Random(seed)
@@ -118,10 +125,10 @@ def _first_hit(draws):
     return None, evaluations
 
 
-def _nonzero_at(evaluator, e, assignment):
-    """One draw of a vanishing search: the witness when e does not vanish
-    at the assignment, else None."""
-    value = evaluator(e, assignment)
+def _nonzero_at(run, assignment):
+    """One draw of a vanishing search: the witness when run, an element's
+    compiled program, does not give zero at the assignment, else None."""
+    value = run(assignment)
     return (None if value.is_zero() else {"assignment": assignment, "value": value}), 1
 
 
@@ -157,7 +164,7 @@ def _plain_eval(e, assignment):
     """Evaluate e at an assignment {generator: Matrix or QuotientElement}
     term by term, with nothing but mul, add, scale and, for negative
     exponents of a matrix, mat_inverse: no tables and no power or inverse
-    caches. It confirms the hits of evaluate and q_evaluate, so search and
+    caches. It confirms the hits of the compiled programs, so search and
     confirmation never share an evaluation loop."""
     some = next(iter(assignment.values()))
     emb = embed_into(e.ring, some.ring)
@@ -223,6 +230,7 @@ class _Tables:
             raise CapExceeded(f"{algebra.descriptor()} needs {size} elements indexed; "
                               f"table cap is {TABLE_CAP}; use random mode")
         self.algebra = algebra
+        self.ring = algebra.ring
         self.elements = list(algebra.enumerate_elements(cap))
         n = len(self.elements)
         ids = list(range(n))
@@ -252,103 +260,6 @@ class _Tables:
 
 # ---------------------------------------------------------------------------
 # the exhaustive scan
-
-
-def _term_program(tb, e):
-    """The program that evaluates e term by term on the tables. enter(d,
-    idx) caches the powers of variable d that e uses, inverses included;
-    value() folds each term's syllables from that cache and scales it by
-    its coefficient's index (None when the coefficient is 1)."""
-    vars_sorted = sorted(e.variables())
-    slot = {v: i for i, v in enumerate(vars_sorted)}
-    emb = embed_into(e.ring, tb.algebra.ring)
-    terms = []
-    for w, c in e.terms_sorted():
-        cv = emb(c)
-        cidx = None if cv == tb.algebra.ring.one else tb.scalar_index(cv)
-        terms.append((cidx, tuple((slot[g], x) for g, x in w.syllables)))
-    exps = [set() for _ in vars_sorted]
-    for _, sylls in terms:
-        for s, x in sylls:
-            exps[s].add(x)
-    exps = [sorted(x) for x in exps]
-    MUL, ADD, INV = tb.mul, tb.add, tb.inverse
-    ZERO, ONE = tb.zero, tb.one
-    powers = [dict() for _ in vars_sorted]
-
-    def enter(d, idx):
-        cache = powers[d]
-        for x in exps[d]:
-            base = idx if x >= 0 else INV[idx]
-            acc = ONE
-            for _ in range(abs(x)):
-                acc = MUL[acc][base]
-            cache[x] = acc
-
-    def value():
-        acc = ZERO
-        for cidx, sylls in terms:
-            v = ONE
-            for s, x in sylls:
-                v = MUL[v][powers[s][x]]
-            if cidx is not None:
-                v = MUL[cidx][v]
-            acc = ADD[acc][v]
-        return acc
-
-    return len(vars_sorted), enter, value
-
-
-def _standard_program(tb, k):
-    """The S_k subset DP. D[mask] is the standard polynomial on the
-    variables in mask, S(mask) = sum over its t-th variable j of
-    (-1)**(|mask| - t) S(mask - j) x_j, so entering variable d recomputes
-    only the masks whose highest variable is d, in order of size, which
-    cuts the per-tuple work well below evaluating k! words."""
-    steps = {}
-    for mask in range(1, 1 << k):
-        elems = [j for j in range(k) if mask >> j & 1]
-        m = len(elems)
-        steps[mask] = [
-            (mask ^ (1 << j), j, (m - t) % 2 == 1)
-            for t, j in enumerate(elems, start=1)
-        ]
-    by_high = [[] for _ in range(k)]
-    for mask in range(1, 1 << k):
-        by_high[mask.bit_length() - 1].append(mask)
-    for lst in by_high:
-        lst.sort(key=lambda m: bin(m).count("1"))
-    MUL, ADD, NEG = tb.mul, tb.add, tb.neg
-    D = [tb.one] * (1 << k)
-    assign = [0] * k
-
-    def enter(d, idx):
-        assign[d] = idx
-        for mask in by_high[d]:
-            acc = None
-            for sub, j, flip in steps[mask]:
-                v = MUL[D[sub]][assign[j]]
-                if flip:
-                    v = NEG[v]
-                acc = v if acc is None else ADD[acc][v]
-            D[mask] = acc
-
-    full = (1 << k) - 1
-    return k, enter, lambda: D[full]
-
-
-def _program(tb, e):
-    """The program (nvars, enter, value) the scan runs for e: the subset DP
-    when e's image in the algebra's ring is S_k on x1..xk, else the term
-    program. The choice depends on e and the algebra alone, so the parent
-    and every worker make the same one."""
-    R = tb.algebra.ring
-    k = len(e.variables())
-    if e.variables() == set(range(1, k + 1)):
-        image = e.map_ring(R, embed_into(e.ring, R))
-        if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
-            return _standard_program(tb, k)
-    return _term_program(tb, e)
 
 
 def _scan(tb, e, ground, outer_range):
@@ -409,6 +320,9 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
         raise CapExceeded(
             f"tuple space {space} exceeds the cap {cap}; lower the dimension or use random mode"
         )
+    # one process per CPU at most: every process rebuilds the tables, and
+    # the verdict does not depend on the split
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(ground) >= workers and nvars > 0:
         bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
         element_data = [(w.syllables, c) for w, c in e.terms_sorted()]
@@ -434,9 +348,12 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
 def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
                      details):
     """The search behind check_lpi, al_verify and check_group_identity: the
-    table sweep in exhaustive mode, evaluate at seeded samples in random
-    mode. Either way the witness carries evaluate's value and _plain_eval
-    must reproduce it."""
+    table sweep in exhaustive mode, whose hit takes its value from
+    evaluate, or in random mode e's program compiled once over the
+    algebra's matrices and run at seeded samples. Either way _plain_eval
+    must reproduce the witness's value."""
+    if workers < 1:
+        raise PreconditionError(f"workers must be at least 1, got {workers}")
     vars_sorted = sorted(e.variables())
 
     def scan():
@@ -448,10 +365,20 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, worke
                 hit = {"assignment": assignment, "value": evaluate(e, assignment)}
             yield hit, count
 
-    draw = algebra.sample_unit if ground_kind == "units" else algebra.sample_element
+    if mode == "random":
+        inverses, run = e.compiled(algebra.identity())
+
+    def draw(rng):
+        if ground_kind == "elements":
+            return algebra.sample_element(rng)
+        # the unit comes with the inverse that its test computed
+        m, inv = algebra.sample_unit_with_inverse(rng)
+        inverses[m] = inv
+        return m
 
     def sample(rng):
-        return _nonzero_at(evaluate, e, {g: draw(rng) for g in vars_sorted})
+        inverses.clear()  # only this sample's units, so the map stays small
+        return _nonzero_at(run, {g: draw(rng) for g in vars_sorted})
 
     witness, evaluations = _first_hit(_draws(mode, scan, sample, budget, seed))
     return _search_verdict(t0, witness, _reproduced_by(_plain_eval, e), mode, seed,
@@ -557,9 +484,10 @@ def minimal_polynomial(m):
     return UniPoly(R, coeffs)
 
 
-def _nil_index(tb, idx, bound):
-    """Least k <= bound with element**k = 0 under the tables, else None."""
-    MUL, ZERO = tb.mul, tb.zero
+def _nil_index(ops, idx, bound):
+    """Least k <= bound with idx**k = 0 under ops, the tables or the
+    matrices' _value_ops, else None."""
+    MUL, ZERO = ops.mul, ops.zero
     acc = idx
     k = 1
     while k <= bound:
@@ -619,7 +547,7 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
         c = _sample_right_annihilator(algebra, b, rng)
         u = algebra.sample_element(rng)
         v = b.mul(a).mul(c).mul(u)
-        return (a, b, c, u, v), _matrix_nil_index(v, hard_bound)
+        return (a, b, c, u, v), _nil_index(_value_ops(v), v, hard_bound)
 
     examined = non_nilpotent = 0
     minimal_m = 1
@@ -668,17 +596,6 @@ def _reverify_quad(witness, power):
     v = b.mul(a.mul(c.mul(u)))
     return (a.mul(a).is_zero() and b.mul(c).is_zero() and v == witness["bacu"]
             and not v.power(power).is_zero())
-
-
-def _matrix_nil_index(v, bound):
-    acc = v
-    k = 1
-    while k <= bound:
-        if acc.is_zero():
-            return k
-        acc = acc.mul(v)
-        k += 1
-    return None
 
 
 def _kernel_basis(m):
@@ -740,7 +657,7 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
     def probe(a, b):
         nonlocal skipped
         ab = a.mul(b)
-        if _matrix_nil_index(ab, n) is None:
+        if _nil_index(_value_ops(ab), ab, n) is None:
             skipped += 1
             return None, 1
         return (None if ab.power(2 * d).is_zero() else {"a": a, "b": b, "ab": ab}), 1
@@ -1000,10 +917,11 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
                                _reproduced_by(_plain_eval, s2), mode="deterministic",
                                seed=seed, evaluations=2, details=details)
     e = standard_polynomial(2 * n, ring)
+    _, run = e.compiled(one)
 
     def sample(rng):
         args = [sample_element(ring, rng) for _ in range(2 * n)]
-        return _nonzero_at(q_evaluate, e, dict(enumerate(args, start=1)))
+        return _nonzero_at(run, dict(enumerate(args, start=1)))
 
     witness, evaluations = _first_hit(_draws("random", None, sample, samples, seed))
     if witness is None:

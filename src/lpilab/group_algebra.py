@@ -7,12 +7,17 @@ orders words by the canonical word order, so equal elements print the same.
 
 This module also houses the identity-specific machinery: the admissibility
 restriction, the normalization substitution x_i -> x_i^k, profile bounds,
-diagonal specialization to one variable, standard polynomials and the
-zero-total-sum families built from them.
+diagonal specialization to one variable, standard polynomials, the
+zero-total-sum families built from them, and `_program`, which compiles an
+element into the one program that evaluates it on index tables, matrices
+and quotient elements alike.
 """
 
 import itertools
+import math
+import operator
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .errors import (
     CapExceeded,
@@ -97,11 +102,11 @@ class LaurentElement(FormalSum):
         """The value of this element at an assignment of algebra elements.
 
         The assignment is a tuple (x1 first) or a dict keyed by generator
-        index, and its values need mul, add, scale, power, one_like and
+        index, and its values need mul, add, negation, scale, one_like and
         zero_like. inverse(g, value) is asked once for each generator that
-        appears with a negative exponent and must return the inverse of
-        value or raise. This is the evaluation fold behind evaluate and
-        q_evaluate; the re-verifier in the checkers stays apart from it.
+        appears with a negative exponent, in order of first appearance,
+        and must return the inverse of value or raise. The value comes
+        from the program the table scans run.
         """
         values = assignment if isinstance(assignment, dict) else dict(enumerate(assignment, 1))
         if not values:
@@ -109,24 +114,26 @@ class LaurentElement(FormalSum):
         missing = self.variables() - set(values)
         if missing:
             raise PreconditionError(f"unassigned variables: {sorted(missing)}")
-        first = next(iter(values.values()))
-        emb = embed_into(self.ring, first.ring)
-        inverses = {}
-        acc = first.zero_like()
-        for w, c in self.terms.items():
-            # a term starts from its first factor and power(1) is the base
-            # itself, so no product by the identity is ever taken
-            val = None
-            for g, exp in w.syllables:
-                base = values[g]
-                if exp < 0:
-                    if g not in inverses:
-                        inverses[g] = inverse(g, base)
-                    base = inverses[g]
-                base = base.power(abs(exp))
-                val = base if val is None else val.mul(base)
-            acc = acc.add((first.one_like() if val is None else val).scale(emb(c)))
-        return acc
+        inverses, run = self.compiled(next(iter(values.values())))
+        for g in dict.fromkeys(g for w in self.terms for g, x in w.syllables if x < 0):
+            inverses[values[g]] = inverse(g, values[g])
+        return run(values)
+
+    def compiled(self, like):
+        """This element's program over values of the kind of like (a Matrix
+        or a QuotientElement): the map inverses, and run(values), the value
+        at a dict {generator: value}. Before a run the caller maps each
+        value a generator with a negative exponent takes to its inverse."""
+        ops = _value_ops(like)
+        _, enter, value = _program(ops, self)
+        variables = sorted(self.variables())
+
+        def run(values):
+            for d, g in enumerate(variables):
+                enter(d, values[g])
+            return value()
+
+        return ops.inverse, run
 
     def substitute(self, var, replacement):
         """Apply the group substitution x_var -> replacement to every word."""
@@ -316,3 +323,133 @@ def al_f1(n, ring=ZZ):
 def al_f2(n, ring=ZZ):
     """f1 + S_2n: the companion with zero exponent sums in some words."""
     return al_f1(n, ring).add(standard_polynomial(2 * n, ring))
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+class _Calls:
+    """A subscript that calls: self[a] is fn(a)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+def _value_ops(like):
+    """The interface of the index tables (checkers._Tables) over values of
+    the kind of like, a Matrix or a QuotientElement: mul[a][b] is a.mul(b),
+    add[a][b] is a.add(b), neg[a] is -a, and mul[scalar_index(c)][v] is
+    v.scale(c). The caller fills inverse, a map from value to inverse."""
+    return SimpleNamespace(
+        ring=like.ring, one=like.one_like(), zero=like.zero_like(), inverse={},
+        mul=_Calls(lambda a: _Calls(a.mul)), add=_Calls(lambda a: _Calls(a.add)),
+        neg=_Calls(operator.neg),
+        # c times the identity as a left factor: its product scales
+        scalar_index=lambda c: SimpleNamespace(mul=lambda v: v.scale(c)))
+
+
+def _term_program(ops, e):
+    """The program that evaluates e term by term. enter(d, x) caches the
+    powers of variable d that e uses, inverses included, each by
+    square-and-multiply from its first factor; value() takes each term
+    from its first factor on and negates it for the coefficient -1 or
+    scales it for any other coefficient but 1. No product by the identity
+    is ever taken."""
+    R = ops.ring
+    variables = sorted(e.variables())
+    image = e.map_ring(R, embed_into(e.ring, R))
+    MUL, ADD, NEG, INV, ZERO = ops.mul, ops.add, ops.neg, ops.inverse, ops.zero
+    # powers[d] is keyed by the exponents of variable d that e uses
+    powers = [{} for _ in variables]
+    cache_of = dict(zip(variables, powers))
+    terms = []
+    for w, c in image.terms_sorted():
+        scale = None if c == R.one else NEG if c == R.neg(R.one) else MUL[ops.scalar_index(c)]
+        # the empty word reads the identity from a cache of its own
+        factors = [(cache_of[g], x) for g, x in w.syllables] or [({0: ops.one}, 0)]
+        for g, x in w.syllables:
+            cache_of[g][x] = None
+        terms.append((scale, *factors[0], tuple(factors[1:])))
+
+    def enter(d, idx):
+        cache = powers[d]
+        for x in cache:
+            base = idx if x > 0 else INV[idx]
+            k, acc = abs(x), None
+            while k:
+                if k & 1:
+                    acc = base if acc is None else MUL[acc][base]
+                k >>= 1
+                if k:
+                    base = MUL[base][base]
+            cache[x] = acc
+
+    def value():
+        acc = ZERO
+        for scale, cache, x, rest in terms:
+            v = cache[x]
+            for c, y in rest:
+                v = MUL[v][c[y]]
+            if scale is not None:
+                v = scale[v]
+            acc = ADD[acc][v]
+        return acc
+
+    return len(variables), enter, value
+
+
+def _standard_program(ops, k):
+    """The S_k subset DP. D[mask] is the standard polynomial on the
+    variables in mask: a single variable is itself, and a larger mask has
+    S(mask) = sum over its t-th variable j of (-1)**(|mask| - t)
+    S(mask - j) x_j. Entering variable d sets its own mask and recomputes
+    the larger masks whose highest variable is d, smaller masks first,
+    which cuts the work well below evaluating k! words."""
+    steps = [[] for _ in range(k)]
+    for mask in sorted(range(1, 1 << k), key=lambda m: bin(m).count("1")):
+        elems = [j for j in range(k) if mask >> j & 1]
+        m = len(elems)
+        if m > 1:
+            steps[elems[-1]].append((mask, [(mask ^ (1 << j), 1 << j, (m - t) % 2 == 1)
+                                            for t, j in enumerate(elems, start=1)]))
+    MUL, ADD, NEG = ops.mul, ops.add, ops.neg
+    D = [None] * (1 << k)
+
+    def enter(d, idx):
+        D[1 << d] = idx
+        for mask, sums in steps[d]:
+            acc = None
+            for sub, bit, flip in sums:
+                v = MUL[D[sub]][D[bit]]
+                if flip:
+                    v = NEG[v]
+                acc = v if acc is None else ADD[acc][v]
+            D[mask] = acc
+
+    full = (1 << k) - 1
+    return k, enter, lambda: D[full]
+
+
+def _program(ops, e):
+    """Compile e into the program (nvars, enter, value) that evaluates it
+    over ops. enter(d, x) assigns x to e's d-th variable in generator
+    order, the variables being entered in that order, and value() is e's
+    value there. ops is the index tables of a finite algebra, where x is
+    an index and mul[a][b] a list lookup, or _value_ops. The program is
+    the subset DP when e's image in the ops' ring is S_k on x1..xk, else
+    the term program; the choice depends on e and the ring alone, so
+    every caller makes the same one."""
+    R = ops.ring
+    variables = sorted(e.variables())
+    k = len(variables)
+    if 0 < k <= STANDARD_CAP and variables[-1] == k:
+        image = e.map_ring(R, embed_into(e.ring, R))
+        if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
+            return _standard_program(ops, k)
+    return _term_program(ops, e)

@@ -314,10 +314,15 @@ class Algebra:
         return rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND)
 
     def sample_unit(self, rng, retries=256):
+        return self.sample_unit_with_inverse(rng, retries)[0]
+
+    def sample_unit_with_inverse(self, rng, retries=256):
+        """A random unit, drawn as sample_unit draws it, and its inverse."""
         for _ in range(retries):
             m = self.sample_element(rng)
-            if self.inverse(m) is not None:
-                return m
+            inv = self.inverse(m)
+            if inv is not None:
+                return m, inv
         raise PreconditionError(f"no unit found in {retries} draws")
 
     def sample_square_zero(self, rng, retries=256):
@@ -377,9 +382,10 @@ def evaluate(e, assignment, algebra=None):
     The assignment maps x1 to the first matrix and so on; a dict keyed by
     generator index works too. Words with negative exponents need the
     assigned matrix to be a unit, otherwise NonUnit is raised: evaluating
-    an inverse at a singular matrix has no meaning in the algebra. This
-    routine is deliberately plain (no tables, no memo beyond inverses) so
-    search engines can use it as an independent re-verifier.
+    an inverse at a singular matrix has no meaning in the algebra. The
+    value is that of the element's compiled program (LaurentElement.at),
+    the one the searches run; the independent re-verifier is
+    checkers._plain_eval.
     """
     if not isinstance(assignment, dict):
         assignment = tuple(assignment)

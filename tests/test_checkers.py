@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpilab import checkers
+from lpilab import checkers, group_algebra, matrix_algebra
 from lpilab.checkers import (
     al_verify,
     bounds_from_d,
@@ -190,12 +190,12 @@ def test_exhaustive_check_gi_keeps_to_the_table_cap():
 
 
 def _refuse(monkeypatch, program):
-    """Make building the named scan program fail, so a scan that runs it
-    raises, in the parent and in forked workers alike."""
+    """Make building the named program fail, so a scan or an evaluation
+    that runs it raises, in the parent and in forked workers alike."""
     def refused(*args):
         raise AssertionError(f"{program} was built")
 
-    monkeypatch.setattr(checkers, program, refused)
+    monkeypatch.setattr(group_algebra, program, refused)
 
 
 @pytest.mark.parametrize("k, descriptor", [
@@ -204,7 +204,7 @@ def _refuse(monkeypatch, program):
 def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
     tb = checkers._Tables(parse_algebra(descriptor))
     ground = list(range(tb.n))
-    standard, term = checkers._standard_program, checkers._term_program
+    standard, term = group_algebra._standard_program, group_algebra._term_program
     half = round(tb.n / 2)
     # the whole scan, then split at the first variable as two workers split it
     for ranges in ([range(tb.n)], [range(half), range(half, tb.n)]):
@@ -223,9 +223,9 @@ def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
     m2f3 = checkers._Tables(parse_algebra("M2@Fp:3"))
     with monkeypatch.context() as m:
         _refuse(m, "_standard_program")
-        assert checkers._program(m2f3, flipped)[0] == 3
+        assert group_algebra._program(m2f3, flipped)[0] == 3
     _refuse(monkeypatch, "_term_program")
-    assert checkers._program(checkers._Tables(M2F2), flipped)[0] == 3
+    assert group_algebra._program(checkers._Tables(M2F2), flipped)[0] == 3
     v = check_lpi(M2F2, flipped)
     assert v.outcome == "counterexample" and v.evaluations == 293
 
@@ -573,13 +573,15 @@ def _zero_value(e, assignment):
     return _some_value(assignment).zero_like()
 
 
-def _identity_value(e, assignment):
-    return _some_value(assignment).one_like()
+def _one_program(ops, nvars):
+    """A program that reports the identity, a nonzero value, everywhere."""
+    return nvars, lambda d, idx: None, lambda: ops.one
 
 
 S3 = standard_polynomial(3)
 
-# (checker and mode, what to break, its stand-in, the call). Either the
+# (checker and mode, what to break in lpilab.checkers, or in the module
+# named, its stand-in, the call). Either the
 # confirming evaluator is broken, or, where the identity holds (al_verify,
 # quotient_pi_check for n >= 2), the search is broken into a false hit;
 # search and confirmation then disagree, so no verdict may come back.
@@ -593,18 +595,18 @@ GATE_CASES = [
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
     ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
      lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
-    # the S_k program reports a nonzero value at the first tuple
-    ("al_verify/exhaustive", "_standard_program",
-     lambda tb, k: (k, lambda d, idx: None, lambda: tb.one), lambda: al_verify(1, 2)),
-    ("al_verify/random", "evaluate", _identity_value,
+    # the S_k program reports a nonzero value at the first tuple or sample
+    ("al_verify/exhaustive", "group_algebra._standard_program", _one_program,
+     lambda: al_verify(1, 2)),
+    ("al_verify/random", "group_algebra._standard_program", _one_program,
      lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
     ("check_group_identity/exhaustive", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2))),
     ("check_group_identity/random", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)),
     # x1^6 = 1 on GL_2(F_2); the term program reports 1 - x1^6 as 1 at once
-    ("check_group_identity/exhaustive/false-hit", "_term_program",
-     lambda tb, e: (len(e.variables()), lambda d, idx: None, lambda: tb.one),
+    ("check_group_identity/exhaustive/false-hit", "group_algebra._term_program",
+     lambda ops, e: _one_program(ops, len(e.variables())),
      lambda: check_group_identity(M2F2, Word.gen(1, 6))),
     ("nil_exponent_search/exhaustive", "_reverify_quad", lambda w, power: False,
      lambda: nil_exponent_search(M2F2)),
@@ -615,7 +617,7 @@ GATE_CASES = [
     ("nil_exponent_search/random/m_max", "_reverify_quad", lambda w, power: False,
      lambda: nil_exponent_search(T3F2, m_max=1, mode="random", budget=100, seed=1)),
     ("quotient_pi_check/n=1", "_plain_eval", _zero_value, lambda: quotient_pi_check(1)),
-    ("quotient_pi_check/random", "q_evaluate", _identity_value,
+    ("quotient_pi_check/random", "group_algebra._standard_program", _one_program,
      lambda: quotient_pi_check(2, samples=5, seed=3)),
 ]
 
@@ -624,7 +626,7 @@ GATE_CASES = [
                          ids=[c[0] for c in GATE_CASES])
 def test_counterexample_needs_independent_confirmation(monkeypatch, name, target,
                                                        stand_in, call):
-    monkeypatch.setattr(checkers, target, stand_in)
+    monkeypatch.setattr("lpilab." + (target if "." in target else "checkers." + target), stand_in)
     with pytest.raises(SolveError):
         call()
 
@@ -654,3 +656,84 @@ def test_unknown_mode_is_rejected():
     ):
         with pytest.raises(PreconditionError):
             call()
+
+
+def test_random_mode_refuses_a_budget_below_one():
+    # with no draw at all a random search would report holds untested
+    comm = parse_element("x1*x2-x2*x1")
+    for budget in (0, -5):
+        for call in (
+            lambda: check_lpi(M2F2, comm, mode="random", budget=budget, seed=1),
+            lambda: al_verify(1, 2, mode="random", budget=budget, seed=1),
+            lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random",
+                                         budget=budget, seed=1),
+            lambda: nil_exponent_search(M2F2, mode="random", budget=budget, seed=1),
+            lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=budget, seed=1),
+            lambda: quotient_pi_check(2, samples=budget, seed=1),
+        ):
+            with pytest.raises(PreconditionError, match="budget of at least 1"):
+                call()
+    # exhaustive mode has no budget to refuse
+    assert check_lpi(M2F2, comm, budget=0).witness == check_lpi(M2F2, comm).witness
+
+
+def test_workers_below_one_are_refused():
+    for workers in (0, -3):
+        with pytest.raises(PreconditionError, match="workers must be at least 1"):
+            check_lpi(M2F2, S3, workers=workers)
+        with pytest.raises(PreconditionError, match="workers must be at least 1"):
+            al_verify(1, 2, mode="random", budget=5, seed=1, workers=workers)
+
+
+def test_workers_are_bounded_by_the_cpu_count(monkeypatch):
+    # no real pool is started: the stand-in records its size and runs the
+    # chunks in this process
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            self.chunks = len(payloads)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(checkers, "ProcessPoolExecutor", InlinePool)
+    one = check_lpi(M2F2, S3)
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 3)
+    many = check_lpi(M2F2, S3, workers=700)
+    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 3)]
+    assert (many.witness, many.evaluations) == (one.witness, one.evaluations)
+    v = al_verify(1, 3, workers=700)
+    assert (pools[-1].max_workers, pools[-1].chunks) == (3, 3)
+    assert v.holds() and v.evaluations == 9
+    # an unknown CPU count runs the scan in this process
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: None)
+    again = check_lpi(M2F2, S3, workers=700)
+    assert len(pools) == 2 and again.evaluations == one.evaluations
+
+
+def test_random_units_are_inverted_once(monkeypatch):
+    # each sampled unit is inverted by the draw that tested it, and again
+    # only by _plain_eval when it confirms the hit
+    calls = []
+    inverse = matrix_algebra.mat_inverse
+
+    def counted(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(matrix_algebra, "mat_inverse", counted)
+    monkeypatch.setattr(checkers, "mat_inverse", counted)
+    e = parse_element("x1*x2*x1^-1*x2^-1 - 1")
+    v = check_lpi(parse_algebra("M2@Fp:5"), e, mode="random", budget=20, seed=1)
+    assert v.outcome == "counterexample" and v.evaluations == 1
+    assert len(calls) == 4

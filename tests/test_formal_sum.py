@@ -1,5 +1,5 @@
 """The formal-sum base shared by Laurent, quotient and one-variable
-elements, and the evaluation fold shared by evaluate and q_evaluate,
+elements, and the compiled programs that evaluate and q_evaluate run,
 checked against the plain re-verifier of the checkers."""
 
 import random
@@ -9,7 +9,8 @@ import pytest
 from lpilab.checkers import _plain_eval
 from lpilab.errors import PreconditionError, RingMismatch
 from lpilab.freegroup import Word
-from lpilab.group_algebra import LaurentElement, OneVarLaurent
+from lpilab import group_algebra
+from lpilab.group_algebra import LaurentElement, OneVarLaurent, standard_polynomial
 from lpilab.matrix_algebra import Matrix, evaluate, parse_algebra
 from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
 from lpilab.rings import ZZ, FormalSum, PrimeField
@@ -107,7 +108,20 @@ def zz_unit(rng):
             .mul(Matrix(ZZ, [[s, 0], [0, 1]])))
 
 
-@pytest.mark.parametrize("descriptor", ["M2@Fp:3", "T2@Fp:5", "M2@ZZ"])
+def shifted(e, by):
+    """e with every variable x_g renamed to x_(g+by)."""
+    return LaurentElement(e.ring, [
+        (Word(tuple((g + by, x) for g, x in w.syllables)), c) for w, c in e.terms.items()
+    ])
+
+
+# S_2..S_5 run the subset DP; S_3 on x2, x3, x4 is not S_3 on x1..x3, so it
+# runs the term program
+STANDARD_INPUTS = [standard_polynomial(k) for k in (2, 3, 4, 5)] + [
+    shifted(standard_polynomial(3), 1)]
+
+
+@pytest.mark.parametrize("descriptor", ["M2@Fp:3", "T2@Fp:5", "T3@Fp:2", "M2@ZZ"])
 def test_evaluate_matches_plain_eval(descriptor):
     algebra = parse_algebra(descriptor)
     rng = random.Random(f"evaluate/{descriptor}")
@@ -120,6 +134,10 @@ def test_evaluate_matches_plain_eval(descriptor):
         assert value == _plain_eval(e, dict(enumerate(mats, start=1)))
         checked += e.has_negative_exponent()
     assert checked > 30
+    for e in STANDARD_INPUTS:
+        for _ in range(3):
+            mats = tuple(algebra.sample_element(rng) for _ in range(5))
+            assert evaluate(e, mats) == _plain_eval(e, dict(enumerate(mats, start=1)))
 
 
 def test_q_evaluate_matches_plain_eval():
@@ -129,6 +147,10 @@ def test_q_evaluate_matches_plain_eval():
             e = random_laurent(rng, negative=False)
             args = tuple(sample_element(ring, rng, max_support=3, max_len=3)
                          for _ in range(3))
+            assert q_evaluate(e, args) == _plain_eval(e, dict(enumerate(args, start=1)))
+    for e in STANDARD_INPUTS:
+        for _ in range(3):
+            args = tuple(sample_element(ZZ, rng, max_support=3, max_len=3) for _ in range(5))
             assert q_evaluate(e, args) == _plain_eval(e, dict(enumerate(args, start=1)))
 
 
@@ -157,12 +179,21 @@ def test_q_evaluate_at_units_matches_plain_eval():
 
 
 def test_plain_eval_stays_apart_from_the_fold(monkeypatch):
-    def shared_fold(self, assignment, inverse):
-        raise AssertionError("_plain_eval went through LaurentElement.at")
+    # the compiled programs are what the searches and evaluate run, so the
+    # re-verifier must not reach them by any of their names
+    def refused(*args):
+        raise AssertionError("_plain_eval went through a compiled program")
 
     rng = random.Random("apart")
     e = random_laurent(rng)
     mats = {g: zz_unit(rng) for g in (1, 2, 3)}
     expected = evaluate(e, mats)
-    monkeypatch.setattr(LaurentElement, "at", shared_fold)
+    s4 = standard_polynomial(4)
+    qargs = {g: sample_element(ZZ, rng, max_support=3, max_len=3) for g in (1, 2, 3, 4)}
+    q_expected = q_evaluate(s4, qargs)
+    monkeypatch.setattr(LaurentElement, "at", refused)
+    monkeypatch.setattr(LaurentElement, "compiled", refused)
+    for name in ("_program", "_term_program", "_standard_program"):
+        monkeypatch.setattr(group_algebra, name, refused)
     assert _plain_eval(e, mats) == expected
+    assert _plain_eval(s4, qargs) == q_expected

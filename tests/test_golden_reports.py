@@ -7,8 +7,11 @@ of that name) from the commit before the tables were built by linearity,
 the two S_k scans (`check_lpi_s4_t3f2`, `al_verify_n2f2_workers2`)
 from the commit before one sweep took over both scan kernels, and the four
 `check_gi_*` cases other than `check_gi_commutator_m2f2` from the commit
-before check-gi became the identity search of 1 - w on the tables, so a
-change to the internals that alters any report text shows up here.
+before check-gi became the identity search of 1 - w on the tables, and
+the five random check-lpi and al-verify cases (`*_random` other than
+`check_gi_*`) from the commit before random mode ran compiled programs on
+matrices, so a change to the internals that alters any report text shows
+up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -58,6 +61,23 @@ CASES = {
     "check_gi_x6_m2f2_random": (
         ["check-gi", "--word", "x1^6", "--algebra", "M2@Fp:2", "--mode", "random", "--seed", "3",
          "--budget", "50"], 0),
+    # random check-lpi and al-verify: S_k on matrices over ZZ and F_3, the
+    # unit commutator with inverses over ZZ, a prefilter hit, and S_4
+    "check_lpi_s4_m2zz_random": (
+        ["check-lpi", "--expr", "S(4)", "--algebra", "M2@ZZ", "--mode", "random", "--seed", "1",
+         "--budget", "20"], 0),
+    "check_lpi_s3_m2f3_random": (
+        ["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:3", "--mode", "random", "--seed", "1",
+         "--budget", "20"], 1),
+    "check_lpi_unit_commutator_m2zz_random": (
+        ["check-lpi", "--expr", "x1*x2*x1^-1*x2^-1*x1*x2*x1^-1*x2^-1-2*x1*x2*x1^-1*x2^-1+1",
+         "--algebra", "M2@ZZ", "--mode", "random", "--seed", "2", "--budget", "30"], 1),
+    "check_lpi_mixed_t2f5_random": (
+        ["check-lpi", "--expr", "2*x1^3*x2-x2^2+x1^-1*x2", "--algebra", "T2@Fp:5", "--mode",
+         "random", "--seed", "4", "--budget", "40"], 1),
+    "al_verify_n2f3_random": (
+        ["al-verify", "--n", "2", "--field", "Fp:3", "--mode", "random", "--seed", "1",
+         "--budget", "5"], 0),
 }
 
 

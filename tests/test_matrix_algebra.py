@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from lpilab.checkers import _plain_eval
 from lpilab.errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
@@ -17,7 +19,8 @@ from lpilab.matrix_algebra import (
     parse_matrix,
     zeros,
 )
-from lpilab.rings import ZZ, PrimeField
+from lpilab.rings import ZZ, PrimeField, ring_from_descriptor
+from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
 f3 = PrimeField(3)
@@ -206,12 +209,8 @@ def test_evaluate_matches_manual_product():
         assert evaluate(e, (a, b)) == manual
 
 
-def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
-    algebra = parse_algebra("M2@Fp:3")
-    rng = random.Random(3)
-    xs = [algebra.sample_element(rng) for _ in range(3)]
-    s3 = standard_polynomial(3)
-    expected = evaluate(s3, xs)
+def counting_mul(monkeypatch):
+    """Count Matrix.mul calls from here on: the list gets one item a call."""
     calls = []
     mul = Matrix.mul
 
@@ -220,9 +219,21 @@ def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Matrix, "mul", counted)
+    return calls
+
+
+def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
+    algebra = parse_algebra("M2@Fp:3")
+    rng = random.Random(3)
+    xs = [algebra.sample_element(rng) for _ in range(3)]
+    s3 = standard_polynomial(3)
+    expected = _plain_eval(s3, dict(enumerate(xs, start=1)))
+    mul = Matrix.mul
+    calls = counting_mul(monkeypatch)
     assert evaluate(s3, xs) == expected
-    # 6 words of 3 letters each: two products per word
-    assert len(calls) == 12
+    # the subset DP: the singletons are the variables, each pair takes
+    # two products and the triple three (6 words of 3 letters took 12)
+    assert len(calls) == 9
     calls.clear()
     m = xs[0]
     assert m.power(1) is m and len(calls) == 0
@@ -230,3 +241,66 @@ def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
     assert m.power(5) == mul(mul(mul(mul(m, m), m), m), m)
     # square-and-multiply: m^2, m^4 and m^4 * m
     assert len(calls) == 3
+
+
+def test_evaluate_counts_for_s6_and_a_power(monkeypatch):
+    algebra = parse_algebra("M3@ZZ")
+    rng = random.Random(6)
+    xs = [algebra.sample_element(rng) for _ in range(6)]
+    s6 = standard_polynomial(6)
+    expected = _plain_eval(s6, dict(enumerate(xs, start=1)))
+    calls = counting_mul(monkeypatch)
+    # the subset DP takes |mask| products for every mask of two or more
+    # variables: 6 * 2**5 - 6 = 186, where 720 words of 6 letters took 3600
+    assert evaluate(s6, xs) == expected
+    assert len(calls) == 186
+    calls.clear()
+    e = parse_element("x1^17 - x1")
+    assert evaluate(e, xs[:1]) == xs[0].power(17) - xs[0]
+    calls.clear()
+    evaluate(e, xs[:1])
+    # x1^17 by square-and-multiply: four squarings and one product
+    assert len(calls) <= 5
+
+
+def _power_cost(k):
+    """Products that square-and-multiply takes for x**k from x."""
+    return k.bit_length() + bin(k).count("1") - 2
+
+
+def _word_fold_cost(e):
+    """The products of a term-by-term fold that starts each term from its
+    first factor and takes each power by square-and-multiply."""
+    return sum(len(w.syllables) - 1 + sum(_power_cost(abs(x)) for _, x in w.syllables)
+               for w in e.terms if w.syllables)
+
+
+def _zz_unit(rng):
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    return Matrix(ZZ, [[1, a], [0, 1]]).mul(Matrix(ZZ, [[1, 0], [b, 1]]))
+
+
+def test_evaluate_takes_no_more_products_than_a_word_fold(monkeypatch):
+    # every Laurent line of the parser corpus, at units of M2 over its
+    # ring; _word_fold_cost is what evaluate took when it folded words
+    path = Path(__file__).parent / "data" / "expressions.txt"
+    checked = 0
+    for line in path.read_text().splitlines():
+        ring_text, context, text = line.split("|", 2)
+        if context != "laurent":
+            continue
+        ring = ring_from_descriptor(ring_text)
+        e = parse_element(text, ring, "laurent")
+        rng = random.Random(line)
+        n = max(e.max_variable(), 1)
+        if ring == ZZ:
+            xs = [_zz_unit(rng) for _ in range(n)]
+        else:
+            algebra = parse_algebra(f"M2@{ring_text}")
+            xs = [algebra.sample_unit(rng) for _ in range(n)]
+        calls = counting_mul(monkeypatch)
+        evaluate(e, xs)
+        monkeypatch.undo()
+        assert len(calls) <= _word_fold_cost(e), line
+        checked += 1
+    assert checked > 60

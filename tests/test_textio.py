@@ -214,6 +214,24 @@ def test_exit_code_two_on_errors():
         assert not out.strip(), argv
 
 
+def test_nothing_to_search_exits_two(monkeypatch):
+    # a random search without draws, or a scan without a worker, is refused
+    # instead of reporting holds
+    cases = [
+        ["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "M2@Fp:2", "--mode", "random",
+         "--budget", "-5", "--seed", "1"],
+        ["quotient", "--n", "2", "--samples", "0", "--seed", "1"],
+        ["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--workers", "0"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(*argv)
+        assert code == 2 and not out.strip(), argv
+        assert "at least 1" in err, argv
+    monkeypatch.setenv("LPILAB_WORKERS", "0")
+    code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
+    assert code == 2 and "workers must be at least 1" in err
+
+
 def test_inadmissible_message_mentions_it():
     code, out, err = run_cli("witness", "--expr", "x1*x2*x1^-1*x2^-1")
     assert code == 2
