@@ -59,7 +59,7 @@ from .matrix_algebra import (
     parse_algebra,
 )
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
-from .rings import (UniPoly, ZZ, _field_for, _row_reduce, embed_into, ring_from_descriptor,
+from .rings import (UniPoly, ZZ, _field_for, _kernel, embed_into, ring_from_descriptor,
                     unipoly_eval, vandermonde_solve)
 
 TABLE_CAP = 1024
@@ -89,23 +89,25 @@ def _verdict(outcome, t0, **kw):
 # the search layer
 
 
-def _check_mode(mode):
-    """The only place that accepts or rejects a search mode. Searches with
-    an early answer call it before giving that answer."""
+def _check_search(mode, budget, workers=1):
+    """The only place that accepts or rejects a search's mode, random
+    budget and worker count. A random search needs a budget of at least
+    one draw: with none it would report holds having looked at nothing.
+    Searches with an early answer call it before giving that answer."""
     if mode not in ("exhaustive", "random"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    if mode == "random" and budget < 1:
+        raise PreconditionError(f"random mode needs a budget of at least 1, got {budget}")
+    if workers < 1:
+        raise PreconditionError(f"workers must be at least 1, got {workers}")
 
 
 def _draws(mode, exhaustive, sample, budget, seed):
     """The candidate stream of a search: exhaustive() in canonical order,
-    or sample(rng) drawn budget times from a generator seeded with seed.
-    A random search needs a budget of at least one draw: with none it
-    would report holds having looked at nothing."""
-    _check_mode(mode)
+    or sample(rng) drawn budget times from a generator seeded with seed."""
+    _check_search(mode, budget)
     if mode == "exhaustive":
         return exhaustive()
-    if budget < 1:
-        raise PreconditionError(f"random mode needs a budget of at least 1, got {budget}")
     # string-seeding goes through a stable hash, so substreams derived as
     # f"{seed}/{i}" reproduce across runs and platforms
     rng = random.Random(seed)
@@ -352,8 +354,7 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, worke
     evaluate, or in random mode e's program compiled once over the
     algebra's matrices and run at seeded samples. Either way _plain_eval
     must reproduce the witness's value."""
-    if workers < 1:
-        raise PreconditionError(f"workers must be at least 1, got {workers}")
+    _check_search(mode, budget, workers)
     vars_sorted = sorted(e.variables())
 
     def scan():
@@ -396,7 +397,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     weak empirical sense.
     """
     t0 = time.monotonic()
-    _check_mode(mode)
+    _check_search(mode, budget, workers)
     if e.is_zero():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "zero element vanishes identically"})
@@ -439,7 +440,7 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
     set, whatever the signs of w's exponents. The witness value is w's
     value, 1 minus the confirmed value of 1 - w."""
     t0 = time.monotonic()
-    _check_mode(mode)
+    _check_search(mode, budget)
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
@@ -458,12 +459,11 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
 def minimal_polynomial(m):
     """The monic least-degree polynomial killing the matrix.
 
-    The powers I, m, ..., m^n, flattened, are the columns of a matrix in
-    reduced row echelon form. Its first non-pivot column k is the least
-    dependent power, and that column holds the coefficients of
-    m^k = sum_{i<k} c_i m^i. Integer matrices route through the rationals
-    and come back integral (monic divisors of monic integer polynomials
-    are integer polynomials).
+    The powers I, m, ..., m^n, flattened, are the columns of a matrix. Its
+    first kernel vector has its 1 at the least dependent power k and zeros
+    past it, so it holds the coefficients of m^k - sum_{i<k} c_i m^i = 0.
+    Integer matrices route through the rationals and come back integral
+    (monic divisors of monic integer polynomials are integer polynomials).
     """
     R = m.ring
     field, lift = _field_for(R)
@@ -472,11 +472,10 @@ def minimal_polynomial(m):
     for _ in range(n):
         powers.append(powers[-1].mul(m))
     rows = [[lift(p.entries[i][j]) for p in powers] for i in range(n) for j in range(n)]
-    pivots = _row_reduce(field, rows, n + 1)
-    k = next((c for c in range(n + 1) if c not in pivots), None)
-    if k is None:
+    kernel = _kernel(field, rows, n + 1)
+    if not kernel:
         raise SolveError("no dependency up to degree n; implementation bug")
-    coeffs = [field.neg(rows[i][k]) for i in range(k)] + [field.one]
+    coeffs = kernel[0]  # UniPoly drops the zeros past the 1
     if R == ZZ:
         if any(c.denominator != 1 for c in coeffs):
             raise SolveError("minimal polynomial not integral; implementation bug")
@@ -544,7 +543,7 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     def sample(rng):
         a = algebra.sample_square_zero(rng)
         b = algebra.sample_element(rng)
-        c = _sample_right_annihilator(algebra, b, rng)
+        c = algebra.sample_right_annihilator(b, rng)
         u = algebra.sample_element(rng)
         v = b.mul(a).mul(c).mul(u)
         return (a, b, c, u, v), _nil_index(_value_ops(v), v, hard_bound)
@@ -596,49 +595,6 @@ def _reverify_quad(witness, power):
     v = b.mul(a.mul(c.mul(u)))
     return (a.mul(a).is_zero() and b.mul(c).is_zero() and v == witness["bacu"]
             and not v.power(power).is_zero())
-
-
-def _kernel_basis(m):
-    """Basis of the right kernel of a matrix over a field."""
-    R = m.ring
-    n = m.n
-    rows = [list(r) for r in m.entries]
-    pivots = _row_reduce(R, rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [R.zero] * n
-        vec[fc] = R.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = R.neg(rows[i][fc])
-        basis.append(vec)
-    return basis
-
-
-def _sample_right_annihilator(algebra, b, rng):
-    """A random c in the algebra with b*c = 0. Full matrix algebras draw
-    each column from ker(b); triangular and diagonal families fall back to
-    rejection, with the zero matrix as a last resort (it always works)."""
-    R = algebra.ring
-    if not R.is_field:
-        raise PreconditionError("random annihilator sampling needs a field")
-    n = algebra.n
-    if algebra.family == "M":
-        basis = _kernel_basis(b)
-        cols = []
-        for _ in range(n):
-            col = [R.zero] * n
-            for vec in basis:
-                c = rng.randrange(R.p)
-                if c:
-                    col = [R.add(x, R.mul(c, v)) for x, v in zip(col, vec)]
-            cols.append(col)
-        return Matrix(R, [[cols[j][i] for j in range(n)] for i in range(n)])
-    for _ in range(512):
-        c = algebra.sample_element(rng)
-        if b.mul(c).is_zero():
-            return c
-    return algebra.zero()
 
 
 def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,

@@ -11,7 +11,7 @@ import ast
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
-from .rings import PrimeField, _field_for, _invert_square
+from .rings import PrimeField, _field_for, _invert_square, _kernel
 
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
@@ -330,14 +330,12 @@ class Algebra:
 
         For the full algebra over a field this uses the rank-one shape
         v * w^T with w^T v = 0, which squares to zero by construction and
-        yields the zero matrix when v does. Triangular families fall back
-        to rejection over strictly upper matrices; the diagonal family has
-        no square-zero element besides zero.
+        yields the zero matrix when v does. The other families fall back
+        to rejection over their strictly upper matrices, which for the
+        diagonal family is the zero matrix alone, drawn without a scalar.
         """
         R = self.ring
         n = self.n
-        if self.family == "D":
-            return self.zero()
         if self.family == "M" and R.is_field:
             v = [self._random_scalar(rng) for _ in range(n)]
             if all(x == R.zero for x in v):
@@ -362,6 +360,29 @@ class Algebra:
             if m.mul(m).is_zero():
                 return m
         raise PreconditionError(f"no square-zero element found in {retries} draws")
+
+    def sample_right_annihilator(self, b, rng):
+        """A uniform random c in the algebra with b*c = 0. Column j of c,
+        read on the rows that positions() frees in it, is a random
+        combination of a kernel basis of b restricted to those columns;
+        columns with the same free rows share one kernel."""
+        R = self.ring
+        if not R.is_field:
+            raise PreconditionError("random annihilator sampling needs a field")
+        pos = self.positions()
+        rows = [[R.zero] * self.n for _ in range(self.n)]
+        kernels = {}
+        for j in range(self.n):
+            free = tuple(i for i, c in pos if c == j)
+            if free not in kernels:
+                kernels[free] = _kernel(R, [[r[i] for i in free] for r in b.entries], len(free))
+            col = [R.zero] * len(free)
+            for vec in kernels[free]:
+                c = self._random_scalar(rng)
+                col = [R.add(x, R.mul(c, v)) for x, v in zip(col, vec)]
+            for i, x in zip(free, col):
+                rows[i][j] = x
+        return Matrix(R, rows)
 
 
 def parse_algebra(text):

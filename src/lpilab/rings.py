@@ -593,6 +593,23 @@ def _row_reduce(field, rows, ncols):
     return pivots
 
 
+def _kernel(field, rows, ncols):
+    """A basis of {v : rows * v = 0}, rows having ncols columns of field
+    scalars (left unchanged): per non-pivot column f, in increasing order,
+    the vector with 1 at f, 0 at the other non-pivot columns and column f
+    negated at the pivots."""
+    rows = [list(r) for r in rows]
+    pivots = _row_reduce(field, rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for row, pc in zip(rows, pivots):
+            vec[pc] = field.neg(row[f])
+        basis.append(vec)
+    return basis
+
+
 def _invert_square(field, rows):
     """Gauss-Jordan inverse of a small square matrix of field scalars, as
     a list of rows, or None when the matrix is singular."""

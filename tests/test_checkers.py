@@ -658,12 +658,19 @@ def test_unknown_mode_is_rejected():
             call()
 
 
+M2F3 = parse_algebra("M2@Fp:3")
+ONE_PLUS_X1 = parse_element("1+x1")
+
+
 def test_random_mode_refuses_a_budget_below_one():
     # with no draw at all a random search would report holds untested
     comm = parse_element("x1*x2-x2*x1")
     for budget in (0, -5):
         for call in (
             lambda: check_lpi(M2F2, comm, mode="random", budget=budget, seed=1),
+            # early answers: a nonzero coefficient sum and the empty word
+            lambda: check_lpi(M2F3, ONE_PLUS_X1, mode="random", budget=budget, seed=1),
+            lambda: check_group_identity(M2F2, Word(), mode="random", budget=budget, seed=1),
             lambda: al_verify(1, 2, mode="random", budget=budget, seed=1),
             lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random",
                                          budget=budget, seed=1),
@@ -683,6 +690,9 @@ def test_workers_below_one_are_refused():
             check_lpi(M2F2, S3, workers=workers)
         with pytest.raises(PreconditionError, match="workers must be at least 1"):
             al_verify(1, 2, mode="random", budget=5, seed=1, workers=workers)
+        # an early answer, from the nonzero coefficient sum
+        with pytest.raises(PreconditionError, match="workers must be at least 1"):
+            check_lpi(M2F3, ONE_PLUS_X1, workers=workers)
 
 
 def test_workers_are_bounded_by_the_cpu_count(monkeypatch):

@@ -10,8 +10,9 @@ from the commit before one sweep took over both scan kernels, and the four
 before check-gi became the identity search of 1 - w on the tables, and
 the five random check-lpi and al-verify cases (`*_random` other than
 `check_gi_*`) from the commit before random mode ran compiled programs on
-matrices, so a change to the internals that alters any report text shows
-up here.
+matrices, and `nilbound_m2f3_random` from the commit before every
+family drew its right annihilators from kernels of b, so a change to the
+internals that alters any report text shows up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -78,6 +79,10 @@ CASES = {
     "al_verify_n2f3_random": (
         ["al-verify", "--n", "2", "--field", "Fp:3", "--mode", "random", "--seed", "1",
          "--budget", "5"], 0),
+    # random nilbound on the full algebra, whose c is drawn from ker(b)
+    "nilbound_m2f3_random": (
+        ["nilbound", "--algebra", "M2@Fp:3", "--mode", "random", "--seed", "4", "--budget",
+         "200"], 1),
 }
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lpilab.checkers import _plain_eval
+from lpilab.checkers import _Tables, _plain_eval
 from lpilab.errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
@@ -156,8 +156,33 @@ def test_sampling_is_seeded_and_valid():
     for _ in range(20):
         z = t3.sample_square_zero(rng)
         assert z.mul(z).is_zero() and t3.contains(z)
+    # the diagonal family has no strictly upper entry to draw
     d2 = parse_algebra("D2@Fp:3")
+    state = rng.getstate()
     assert d2.sample_square_zero(rng).is_zero()
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("desc", [f"{f}{n}@Fp:{p}" for f in "MTD" for n in (2, 3)
+                                  for p in (2, 3)])
+def test_right_annihilator_draws_lie_in_the_algebra(desc):
+    alg = parse_algebra(desc)
+    rng = random.Random(desc)
+    for b in [alg.zero(), alg.identity()] + [alg.sample_element(rng) for _ in range(40)]:
+        c = alg.sample_right_annihilator(b, rng)
+        assert alg.contains(c) and b.mul(c).is_zero(), (b, c)
+
+
+@pytest.mark.parametrize("desc", ["M2@Fp:2", "T2@Fp:3", "D2@Fp:3"])
+def test_right_annihilator_draws_reach_every_annihilator(desc):
+    alg = parse_algebra(desc)
+    tb = _Tables(alg)
+    singular = next(i for i in range(1, tb.n) if tb.inverse[i] is None)
+    rng = random.Random(desc)
+    for b in (tb.zero, tb.one, singular):
+        want = {tb.elements[c] for c in range(tb.n) if tb.mul[b][c] == tb.zero}
+        draws = {alg.sample_right_annihilator(tb.elements[b], rng) for _ in range(600)}
+        assert draws == want, tb.elements[b]
 
 
 def test_evaluate_words_and_inverses():
