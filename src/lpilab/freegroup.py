@@ -31,6 +31,16 @@ class Word:
                 stack.append((gen, exp))
         object.__setattr__(self, "syllables", tuple(stack))
 
+    @classmethod
+    def _trusted(cls, syllables):
+        """The word whose syllables are the tuple syllables itself,
+        unchecked: it must already be reduced, with positive integer
+        generators, nonzero integer exponents and no two adjacent
+        syllables on one generator."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "syllables", syllables)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
@@ -52,6 +62,14 @@ class Word:
 
     def exp_sum(self, var):
         return sum(e for g, e in self.syllables if g == var)
+
+    def exp_sums(self):
+        """{generator: exponent sum} over the generators the word uses,
+        read in one pass."""
+        sums = {}
+        for g, e in self.syllables:
+            sums[g] = sums.get(g, 0) + e
+        return sums
 
     def exp_sum_total(self):
         return sum(e for _, e in self.syllables)

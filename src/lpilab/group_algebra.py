@@ -94,7 +94,7 @@ class LaurentElement(FormalSum):
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return LaurentElement(R, out)
+        return LaurentElement._trusted(R, out)
 
     __mul__ = mul
 
@@ -170,12 +170,7 @@ class OneVarLaurent(FormalSum):
 def is_admissible(e):
     """Every nonconstant support word must have a nonzero exponent sum in
     at least one variable."""
-    for w in e.terms:
-        if w.is_identity():
-            continue
-        if all(w.exp_sum(v) == 0 for v in w.variables()):
-            return False
-    return True
+    return all(any(w.exp_sums().values()) for w in e.terms if not w.is_identity())
 
 
 def normalize(e):
@@ -281,17 +276,14 @@ def standard_polynomial(n, ring=ZZ, cap=STANDARD_CAP):
         raise PreconditionError("standard polynomial needs n >= 1")
     if n > cap:
         raise CapExceeded(f"S_{n} has {n}! terms; cap is n <= {cap}")
-    terms = []
+    # distinct permutations give distinct reduced words and every sign is
+    # a nonzero ring scalar, so the terms need no collecting or checking
+    signs = (ring.from_int(1), ring.from_int(-1))
+    terms = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if perm[i] > perm[j]
-        )
-        word = Word(tuple((g, 1) for g in perm))
-        terms.append((word, ring.from_int(-1 if inv % 2 else 1)))
-    return LaurentElement(ring, terms)
+        inversions = sum([a > b for a, b in itertools.combinations(perm, 2)])
+        terms[Word._trusted(tuple([(g, 1) for g in perm]))] = signs[inversions % 2]
+    return LaurentElement._trusted(ring, terms)
 
 
 def gi_to_lpi(w, ring=ZZ):

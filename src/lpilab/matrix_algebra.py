@@ -25,6 +25,15 @@ _FAMILIES = {
 
 
 class Matrix:
+    """A square matrix over an exact ring, immutable, its entries a tuple
+    of row tuples.
+
+    The public constructor validates: it coerces every entry and checks
+    the shape. Arithmetic on valid operands builds its result with
+    _trusted instead, since the ring's own operations already made each
+    entry and the shape is the operands'.
+    """
+
     __slots__ = ("ring", "n", "entries")
 
     def __init__(self, ring, rows):
@@ -35,6 +44,16 @@ class Matrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _trusted(cls, ring, rows):
+        """The matrix whose entries are rows itself, unchecked: rows must
+        be a nonempty square tuple of row tuples of ring-reduced scalars."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "entries", rows)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -50,19 +69,14 @@ class Matrix:
     def add(self, other):
         self._compatible(other)
         R = self.ring
-        return Matrix(
-            R,
-            [
-                [R.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        pairs = zip(self.entries, other.entries)
+        return Matrix._trusted(R, tuple([tuple(map(R.add, r1, r2)) for r1, r2 in pairs]))
 
     __add__ = add
 
     def __neg__(self):
         R = self.ring
-        return Matrix(R, [[R.neg(x) for x in row] for row in self.entries])
+        return Matrix._trusted(R, tuple([tuple(map(R.neg, row)) for row in self.entries]))
 
     def __sub__(self, other):
         return self.add(-other)
@@ -81,15 +95,16 @@ class Matrix:
                 for k in range(n):
                     acc = R.add(acc, R.mul(a[i][k], b[k][j]))
                 row.append(acc)
-            rows.append(row)
-        return Matrix(R, rows)
+            rows.append(tuple(row))
+        return Matrix._trusted(R, tuple(rows))
 
     __mul__ = mul
 
     def scale(self, c):
         R = self.ring
         c = R.coerce(c)
-        return Matrix(R, [[R.mul(c, x) for x in row] for row in self.entries])
+        return Matrix._trusted(R, tuple([tuple([R.mul(c, x) for x in row])
+                                         for row in self.entries]))
 
     def power(self, k):
         if k < 0:

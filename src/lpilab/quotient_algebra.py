@@ -66,7 +66,8 @@ class QuotientElement(FormalSum):
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return QuotientElement(R, out)
+        # w1 and w2 alternate and meet on distinct letters, so w does too
+        return QuotientElement._trusted(R, out)
 
     __mul__ = mul
 

@@ -428,6 +428,13 @@ class FormalSum:
     _sort_key (the print order) and _key_text (the text of a monomial
     other than UNIT), plus its own product: mul is left to the subclass
     because it is the one operation whose monomial arithmetic differs.
+
+    The public constructor validates: it checks every key and coerces
+    every coefficient. Arithmetic on valid operands builds its result with
+    _trusted instead, which wraps the dict as it stands. That is safe
+    because such a result is already collected (one entry per key),
+    zero-free and ring-reduced (the ring's own operations made each
+    coefficient), and its keys are products or copies of valid keys.
     """
 
     __slots__ = ("ring", "terms")
@@ -449,6 +456,15 @@ class FormalSum:
                 collected[key] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", collected)
+
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """The element whose terms are the dict terms itself, unchecked:
+        terms must be collected, zero-free and ring-reduced over ring."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -484,13 +500,13 @@ class FormalSum:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return type(self)(R, out)
+        return self._trusted(R, out)
 
     __add__ = add
 
     def __neg__(self):
         R = self.ring
-        return type(self)(R, {key: R.neg(c) for key, c in self.terms.items()})
+        return self._trusted(R, {key: R.neg(c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.add(-other)
@@ -503,7 +519,7 @@ class FormalSum:
             s = R.mul(c, v)
             if s != R.zero:
                 out[key] = s
-        return type(self)(R, out)
+        return self._trusted(R, out)
 
     def power(self, k):
         if k < 0:

@@ -3,17 +3,20 @@ elements, and the compiled programs that evaluate and q_evaluate run,
 checked against the plain re-verifier of the checkers."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpilab.checkers import _plain_eval
 from lpilab.errors import PreconditionError, RingMismatch
-from lpilab.freegroup import Word
+from lpilab.freegroup import IDENTITY, Word
 from lpilab import group_algebra
 from lpilab.group_algebra import LaurentElement, OneVarLaurent, standard_polynomial
 from lpilab.matrix_algebra import Matrix, evaluate, parse_algebra
 from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
-from lpilab.rings import ZZ, FormalSum, PrimeField
+from lpilab.rings import QQ, ZZ, FormalSum, PrimeField
 
 f2 = PrimeField(2)
 
@@ -69,6 +72,26 @@ def test_keys_are_checked():
         QuotientElement(ZZ, [("xx", 1)])
     with pytest.raises(PreconditionError):
         OneVarLaurent(ZZ, [("t", 1)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, f2, PrimeField(3)], ids=repr)
+def test_public_constructors_refuse_invalid_input(ring):
+    for word in ("xx", "xyy", "xz", "yxa"):
+        with pytest.raises(PreconditionError):
+            QuotientElement(ring, [(word, 1)])
+    with pytest.raises(PreconditionError):
+        QuotientElement.letter(ring, "z")
+    with pytest.raises(PreconditionError):
+        LaurentElement(ring, [(((1, 1),), 1)])
+    for cls, unit in ((LaurentElement, IDENTITY), (QuotientElement, ""), (OneVarLaurent, 0)):
+        for bad in (True, 0.5):
+            with pytest.raises(RingMismatch):
+                cls(ring, [(unit, bad)])
+            with pytest.raises(RingMismatch):
+                cls.one(ring).scale(bad)
+    if ring != QQ:
+        with pytest.raises(RingMismatch):
+            QuotientElement.one(ring).scale(Fraction(1, 2))
 
 
 def test_laurent_power():
@@ -197,3 +220,55 @@ def test_plain_eval_stays_apart_from_the_fold(monkeypatch):
         monkeypatch.setattr(group_algebra, name, refused)
     assert _plain_eval(e, mats) == expected
     assert _plain_eval(s4, qargs) == q_expected
+
+
+# ---------------------------------------------------------------------------
+# arithmetic builds its results with the trusted constructor, so each result
+# must be exactly what the validating constructor makes of its terms
+
+
+def _coefficients(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(-3, 3)
+
+
+def _keys(cls):
+    if cls is LaurentElement:
+        return st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), max_size=3).map(Word)
+    if cls is QuotientElement:
+        return st.builds(lambda first, n: "".join("xy"[(first + i) % 2] for i in range(n)),
+                         st.integers(0, 1), st.integers(0, 4))
+    return st.integers(-3, 3)
+
+
+@st.composite
+def operands(draw):
+    """Two elements of one subclass over one ring, a scalar and an
+    exponent. The second element is sometimes the first or its negative,
+    so sums and products cancel."""
+    cls = draw(st.sampled_from([LaurentElement, QuotientElement, OneVarLaurent]))
+    ring = draw(st.sampled_from([ZZ, QQ, f2, PrimeField(3)]))
+    terms = st.lists(st.tuples(_keys(cls), _coefficients(ring)), max_size=4)
+    a = cls(ring, draw(terms))
+    b = draw(st.sampled_from([
+        cls(ring, draw(terms)), a, cls(ring, [(k, ring.neg(c)) for k, c in a.terms.items()])]))
+    return a, b, draw(_coefficients(ring)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_arithmetic_results_equal_their_revalidated_copies(args):
+    a, b, c, k = args
+    results = [a.add(b), -a, a - b, a.scale(c)]
+    if hasattr(a, "mul"):  # OneVarLaurent has no product
+        results += [a.mul(b), a.power(k)]
+    for x in results:
+        assert type(x)(x.ring, x.terms) == x
+        assert x.ring.zero not in x.terms.values()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_standard_polynomial_words_equal_their_revalidated_copies(n):
+    for w in standard_polynomial(n).terms:
+        assert Word(w.syllables) == w

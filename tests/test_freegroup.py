@@ -22,6 +22,8 @@ def test_constructor_validates():
     with pytest.raises(PreconditionError):
         Word(((0, 1),))
     with pytest.raises(PreconditionError):
+        Word([(0, 1)])
+    with pytest.raises(PreconditionError):
         Word(((1, "2"),))
     assert Word(((1, 0),)) == IDENTITY
 

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from lpilab.errors import CapExceeded, DiagonalCollapse, Inadmissible, PreconditionError
@@ -13,7 +16,8 @@ from lpilab.group_algebra import (
     profile,
     standard_polynomial,
 )
-from lpilab.rings import ZZ, PrimeField
+from lpilab.rings import ZZ, PrimeField, ring_from_descriptor
+from lpilab.textio import parse_element
 
 
 def lp(*pairs):
@@ -156,6 +160,43 @@ def test_standard_polynomial_caps_and_rings():
     f2 = PrimeField(2)
     s2 = standard_polynomial(2, f2)
     assert all(c == 1 for c in s2.terms.values())
+
+
+def reference_standard_polynomial(n, ring):
+    """S_n from validating constructors, signs by pairwise inversion count."""
+    terms = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        terms.append((Word(tuple((g, 1) for g in perm)), ring.from_int(-1 if inv % 2 else 1)))
+    return LaurentElement(ring, terms)
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(2)], ids=repr)
+def test_standard_polynomial_matches_the_reference(ring):
+    for n in range(1, 8):
+        e = standard_polynomial(n, ring)
+        assert e == reference_standard_polynomial(n, ring)
+        assert list(e.terms) == [Word(tuple((g, 1) for g in perm))
+                                 for perm in itertools.permutations(range(1, n + 1))]
+
+
+def old_is_admissible(e):
+    """is_admissible as it read with one exp_sum pass per variable."""
+    return all(w.is_identity() or not all(w.exp_sum(v) == 0 for v in w.variables())
+               for w in e.terms)
+
+
+def test_is_admissible_matches_the_per_variable_reading():
+    path = Path(__file__).parent / "data" / "expressions.txt"
+    elements = []
+    for line in path.read_text().splitlines():
+        ring_text, context, text = line.split("|", 2)
+        if context == "laurent":
+            elements.append(parse_element(text, ring_from_descriptor(ring_text), "laurent"))
+    elements += [f(n) for f in (al_f1, al_f2) for n in (1, 2, 3)]
+    verdicts = [is_admissible(e) for e in elements]
+    assert verdicts == [old_is_admissible(e) for e in elements]
+    assert True in verdicts and False in verdicts
 
 
 def test_al_families():

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpilab.checkers import _Tables, _plain_eval
 from lpilab.errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
@@ -19,7 +22,8 @@ from lpilab.matrix_algebra import (
     parse_matrix,
     zeros,
 )
-from lpilab.rings import ZZ, PrimeField, ring_from_descriptor
+from lpilab.quotient_algebra import QuotientElement, sample_element
+from lpilab.rings import QQ, ZZ, PrimeField, ring_from_descriptor
 from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
@@ -47,6 +51,14 @@ def test_matrix_validation():
         Matrix(ZZ, [])
     with pytest.raises(RingMismatch):
         Matrix(ZZ, [[1, 2], [3, 4]]).add(Matrix(f2, [[1, 0], [0, 1]]))
+    for ring in (ZZ, QQ, f2):
+        for bad in (True, 0.5):
+            with pytest.raises(RingMismatch):
+                Matrix(ring, [[1, 0], [0, bad]])
+            with pytest.raises(RingMismatch):
+                identity(ring, 2).scale(bad)
+    with pytest.raises(RingMismatch):
+        identity(f3, 2).scale(Fraction(1, 3))
 
 
 def test_matrix_units_and_parse():
@@ -268,6 +280,26 @@ def test_evaluate_takes_no_product_by_the_identity(monkeypatch):
     assert len(calls) == 3
 
 
+def test_arithmetic_revalidates_nothing(monkeypatch):
+    rng = random.Random(9)
+    qa, qb = (sample_element(ZZ, rng) for _ in range(2))
+    algebra = parse_algebra("M3@Fp:5")
+    ma, mb = algebra.sample_element(rng), algebra.sample_element(rng)
+    calls = []
+    check = QuotientElement._check_key
+    init = Matrix.__init__
+    monkeypatch.setattr(QuotientElement, "_check_key",
+                        staticmethod(lambda w: calls.append(w) or check(w)))
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    for a, b in ((qa, qb), (ma, mb)):
+        a.mul(b), a.add(b), -a, a.scale(2)
+    assert calls == []
+    # the public constructors still validate, and are counted
+    QuotientElement(ZZ, [("xy", 1)]), Matrix(ZZ, [[1]])
+    assert len(calls) == 2
+
+
 def test_evaluate_counts_for_s6_and_a_power(monkeypatch):
     algebra = parse_algebra("M3@ZZ")
     rng = random.Random(6)
@@ -329,3 +361,19 @@ def test_evaluate_takes_no_more_products_than_a_word_fold(monkeypatch):
         assert len(calls) <= _word_fold_cost(e), line
         checked += 1
     assert checked > 60
+
+
+ARITHMETIC_ALGEBRAS = [Algebra(family, n, ring) for family in "MTD" for n in (2, 3)
+                       for ring in (ZZ, QQ, f2, f3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ARITHMETIC_ALGEBRAS), st.randoms(use_true_random=False),
+       st.integers(-3, 3), st.integers(0, 4))
+def test_matrix_arithmetic_results_equal_their_revalidated_copies(algebra, rng, c, k):
+    # arithmetic builds its results with the trusted constructor, so each
+    # result must be what the validating constructor makes of its entries
+    a, b = algebra.sample_element(rng), algebra.sample_element(rng)
+    for x in (a.add(b), -a, a - b, a - a, a.mul(b), a.scale(c), a.power(k)):
+        assert Matrix(x.ring, x.entries) == x
+        assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
