@@ -29,6 +29,8 @@ element enumeration and report the first violation, which makes verdicts
 reproducible and independent of how the work is partitioned: with several
 workers each contiguous chunk of the first variable reports its earliest
 hit, and evaluations are counted only up to the first chunk with a hit.
+Workers run the parent's own tables and element, which reach them pickled,
+so no worker builds anything and every start method runs the same path.
 One sweep, `_scan`, owns that order for every element. What it evaluates
 at each tuple is the element's program: the subset DP when the element's
 image in the algebra's ring is a standard polynomial S_k on x1..xk, the
@@ -36,12 +38,12 @@ term-by-term program otherwise. Both give the same value at every tuple,
 so the choice changes neither witness nor count.
 """
 
+import functools
 import itertools
 import os
 import random
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, PreconditionError, SolveError
@@ -56,11 +58,9 @@ from .matrix_algebra import (
     identity,
     mat_inverse,
     matrix_unit,
-    parse_algebra,
 )
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
-from .rings import (UniPoly, ZZ, _field_for, _kernel, embed_into, ring_from_descriptor,
-                    unipoly_eval, vandermonde_solve)
+from .rings import UniPoly, ZZ, _field_for, _kernel, embed_into, unipoly_eval, vandermonde_solve
 
 TABLE_CAP = 1024
 DEFAULT_BUDGET = 1000
@@ -296,24 +296,12 @@ def _scan(tb, e, ground, outer_range):
     return (tuple(assign) if rec(0) else None), evaluations
 
 
-def _scan_chunk(payload):
-    """Worker entry point: rebuild the algebra and the element from plain
-    data, scan one slice of the outermost variable, report the earliest
-    hit. Everything crossing the process boundary is primitives."""
-    (descriptor, ring, element_data, ground_kind, start, stop, cap) = payload
-    algebra = parse_algebra(descriptor)
-    tb = _Tables(algebra, cap)
-    ground = tb.units if ground_kind == "units" else list(range(tb.n))
-    e = LaurentElement(ring_from_descriptor(ring), [(Word(s), c) for s, c in element_data])
-    return _scan(tb, e, ground, range(start, stop))
-
-
 def _run_scan(algebra, e, ground_kind, cap, workers):
     """Scan the tuple space on the tables. Returns the (hit, evaluations)
     pair of each chunk in canonical order, a hit being a tuple of matrices,
     plus the ground size and the tuple space. Chunks split the first
     variable's positions into contiguous ranges, so the first chunk with a
-    hit holds the earliest one."""
+    hit holds the earliest one. Workers run _scan on these very tables."""
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
     nvars = len(e.variables())
@@ -322,21 +310,18 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
         raise CapExceeded(
             f"tuple space {space} exceeds the cap {cap}; lower the dimension or use random mode"
         )
-    # one process per CPU at most: every process rebuilds the tables, and
-    # the verdict does not depend on the split
+    scan = functools.partial(_scan, tb, e, ground)
+    # one process per CPU at most: the verdict does not depend on the split
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(ground) >= workers and nvars > 0:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
-        element_data = [(w.syllables, c) for w, c in e.terms_sorted()]
-        payloads = [
-            (algebra.descriptor(), e.ring.descriptor(), element_data, ground_kind, a, b, cap)
-            for a, b in zip(bounds, bounds[1:])
-            if a < b
-        ]
+        ranges = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, payloads))
+            chunks = list(pool.map(scan, ranges))
     else:
-        chunks = [_scan(tb, e, ground, range(len(ground)))]
+        chunks = [scan(range(len(ground)))]
     E = tb.elements
     chunks = [(None if hit is None else tuple(E[i] for i in hit), count)
               for hit, count in chunks]

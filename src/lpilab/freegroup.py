@@ -44,6 +44,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word._trusted, (self.syllables,)
+
     @classmethod
     def gen(cls, i, e=1):
         return cls(((i, e),))

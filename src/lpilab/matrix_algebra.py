@@ -58,6 +58,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix._trusted, (self.ring, self.entries)
+
     def _compatible(self, other):
         if not isinstance(other, Matrix):
             raise PreconditionError(f"expected a Matrix, got {other!r}")
@@ -427,7 +430,8 @@ def evaluate(e, assignment, algebra=None):
         assignment = tuple(assignment)
     mats = list(assignment.values()) if isinstance(assignment, dict) else assignment
     for m in mats:
-        mats[0]._compatible(m)
+        # through the class, so a first value that is no Matrix is refused too
+        Matrix._compatible(mats[0], m)
     if algebra is not None:
         for m in mats:
             if not algebra.contains(m):

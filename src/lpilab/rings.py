@@ -469,6 +469,9 @@ class FormalSum:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return self._trusted, (self.ring, self.terms)
+
     @classmethod
     def zero(cls, ring):
         return cls(ring)
@@ -673,30 +676,22 @@ def vandermonde_solve(ring, points, values):
     if W is None:
         raise SolveError("singular system")
 
-    first = values[0]
-    if hasattr(first, "entries"):
-        dim = first.n
+    def combine(vals):
+        vals = [lift(ring.coerce(v)) for v in vals]
         out = []
         for i in range(n):
-            rows = [[field.zero] * dim for _ in range(dim)]
-            for j, m in enumerate(values):
-                if m.ring != ring:
-                    raise RingMismatch("value matrix ring differs from solve ring")
-                c = W[i][j]
-                if c == field.zero:
-                    continue
-                for r in range(dim):
-                    for s in range(dim):
-                        rows[r][s] = field.add(rows[r][s], field.mul(c, lift(m.entries[r][s])))
-            restored = [[_restore(ring, field, x) for x in row] for row in rows]
-            out.append(type(first)(ring, restored))
+            acc = field.zero
+            for j, v in enumerate(vals):
+                acc = field.add(acc, field.mul(W[i][j], v))
+            out.append(_restore(ring, field, acc))
         return out
 
-    vals = [lift(ring.coerce(v)) for v in values]
-    out = []
-    for i in range(n):
-        acc = field.zero
-        for j, v in enumerate(vals):
-            acc = field.add(acc, field.mul(W[i][j], v))
-        out.append(_restore(ring, field, acc))
-    return out
+    first = values[0]
+    if not hasattr(first, "entries"):
+        return combine(values)
+    # matrix values: each entry position is a scalar system of its own
+    if any(m.ring != ring for m in values):
+        raise RingMismatch("value matrix ring differs from solve ring")
+    dim = range(first.n)
+    cells = [[combine([m.entries[r][s] for m in values]) for s in dim] for r in dim]
+    return [type(first)(ring, [[cells[r][s][i] for s in dim] for r in dim]) for i in range(n)]

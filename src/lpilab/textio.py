@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import checkers
-from .errors import Inadmissible, LpiLabError, ParseError
+from .errors import Inadmissible, LpiLabError, ParseError, PreconditionError
 from .freegroup import Word
 from .group_algebra import (
     LaurentElement,
@@ -432,8 +432,10 @@ def _random_poly(rng, deg_max):
 
 def _cmd_counterexample(args):
     if args.poly is not None:
-        coeffs = [int(c.strip()) for c in args.poly.split(",")]
-        g = UniPoly(ZZ, coeffs)
+        try:
+            g = UniPoly(ZZ, [int(c) for c in args.poly.split(",")])
+        except ValueError:
+            raise PreconditionError(f"--poly takes comma-separated integers, got {args.poly!r}")
         hit = checkers.infinite_counterexample(g)
         details = {
             "g": g.format(),
@@ -447,6 +449,10 @@ def _cmd_counterexample(args):
         _emit(_report("counterexample", {"poly": args.poly}, "ok", details,
                       witness=witness))
         return 0
+    if args.count < 1:
+        raise PreconditionError(f"--count must be at least 1, got {args.count}")
+    if args.deg_max < 0:
+        raise PreconditionError(f"--deg-max must be at least 0, got {args.deg_max}")
     _resolve_seed(args)
     cases = []
     max_trials = 0

@@ -1,5 +1,12 @@
+import concurrent.futures
+import functools
 import itertools
+import multiprocessing
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,8 +29,9 @@ from lpilab.checkers import (
 )
 from lpilab.errors import CapExceeded, PreconditionError, SolveError
 from lpilab.freegroup import Word
-from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
+from lpilab.group_algebra import LaurentElement, OneVarLaurent, gi_to_lpi, standard_polynomial
 from lpilab.matrix_algebra import Matrix, det, evaluate, matrix_unit, parse_algebra
+from lpilab.quotient_algebra import QuotientElement
 from lpilab.rings import QQ, ZZ, PrimeField, UniPoly, unipoly_eval
 from lpilab.textio import parse_element, parse_word
 
@@ -244,6 +252,72 @@ def test_workers_rebuild_the_element_over_its_own_ring():
     v1, v2 = check_lpi(M2F2, e), check_lpi(M2F2, e, workers=2)
     assert v1.witness == v2.witness and v1.evaluations == v2.evaluations == 289
     assert set(v2.witness["assignment"]) == {1, 2, 3}
+
+
+def test_workers_build_no_tables(monkeypatch):
+    # the parent builds the tables once; forked workers scan that object,
+    # so a second construction anywhere fails the scan
+    built = []
+    init = checkers._Tables.__init__
+
+    def once(self, *args):
+        if built:
+            raise AssertionError("the tables were built twice")
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(checkers._Tables, "__init__", once)
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    # forked workers inherit the wrapper, whatever the default start method
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    v = check_lpi(M2F2, standard_polynomial(3), workers=2)
+    assert v.outcome == "counterexample" and v.evaluations == 293
+    built.clear()
+    v = al_verify(2, 2, workers=2)
+    assert v.holds() and v.evaluations == 65536
+
+
+SPAWNED_SCAN = """
+import multiprocessing, os
+from lpilab import checkers
+from lpilab.matrix_algebra import parse_algebra
+from lpilab.textio import parse_element
+
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 2  # a pool even on one CPU
+for expr, algebra in (("x1*x2-x2*x1+2*x3", "M2@Fp:2"), ("2*x1*x2-2*x2*x1", "M2@Fp:5")):
+    e, a = parse_element(expr), parse_algebra(algebra)
+    one, two = (checkers.check_lpi(a, e, workers=w) for w in (1, 2))
+    assert (one.outcome, one.witness, one.evaluations) == (
+        two.outcome, two.witness, two.evaluations), (expr, algebra)
+    print(expr, algebra, two.outcome, two.evaluations)
+"""
+
+
+def test_spawned_workers_match_one_process():
+    # spawned workers import nothing of the parent's state: the tables, the
+    # element and its ring reach them pickled
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", SPAWNED_SCAN], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.split("\n")[:2] == ["x1*x2-x2*x1+2*x3 M2@Fp:2 counterexample 289",
+                                   "2*x1*x2-2*x2*x1 M2@Fp:5 counterexample 631"]
+
+
+def test_values_pickle_as_themselves():
+    f5 = PrimeField(5)
+    values = [Matrix(f5, [[1, 2], [3, 4]]), Word(((1, 2), (2, -1))), parse_element("x1*x2^-1 - 3*x3"),
+              QuotientElement.letter(QQ, "x").add(QuotientElement.one(QQ).scale(2)),
+              OneVarLaurent(f5, [(-2, 3), (1, 1)])]
+    for v in values:
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v) and back == v and hash(back) == hash(v)
+        with pytest.raises(AttributeError, match="immutable"):
+            back.ring = ZZ
+    hit = check_lpi(M2F2, standard_polynomial(3))
+    back = pickle.loads(pickle.dumps(hit))
+    assert back == hit and back.witness["value"] == matrix_unit(f2, 2, 1, 1)
 
 
 def test_al_verify_holds_exactly():
@@ -716,7 +790,7 @@ def test_workers_are_bounded_by_the_cpu_count(monkeypatch):
             self.chunks = len(payloads)
             return map(fn, payloads)
 
-    monkeypatch.setattr(checkers, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     one = check_lpi(M2F2, S3)
     monkeypatch.setattr(checkers.os, "cpu_count", lambda: 3)
     many = check_lpi(M2F2, S3, workers=700)

@@ -225,6 +225,10 @@ def test_evaluate_checks_assignment():
         evaluate(e, (Matrix(ZZ, [[1, 0], [0, 1]]),))  # x2 unassigned
     with pytest.raises(PreconditionError):
         evaluate(e, ())
+    m = Matrix(ZZ, [[1, 0], [0, 1]])
+    for values in ((1, 2), (m, 2), (QuotientElement.one(ZZ), m)):
+        with pytest.raises(PreconditionError, match="expected a Matrix"):
+            evaluate(parse_element("x1*x2"), values)
     alg = parse_algebra("T2@Fp:2")
     with pytest.raises(PreconditionError):
         evaluate(

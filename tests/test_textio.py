@@ -186,6 +186,7 @@ def test_every_subcommand_emits_schema_valid_reports():
         (0, ["annihilator", "--algebra", "M2@Fp:2"]),
         (0, ["counterexample", "--poly", "0,2,1"]),
         (0, ["counterexample", "--count", "3", "--deg-max", "3", "--seed", "5"]),
+        (0, ["counterexample", "--count", "1", "--deg-max", "0", "--seed", "5"]),
         (0, ["bounds", "--d", "3"]),
         (0, ["quotient", "--n", "2", "--samples", "20", "--seed", "4"]),
         (0, ["s3-expand"]),
@@ -206,6 +207,12 @@ def test_exit_code_two_on_errors():
         ["witness", "--expr", "x1*x2*x1^-1*x2^-1"],
         ["al-verify", "--n", "2", "--field", "ZZ"],
         ["check-lpi", "--expr", "S(4)", "--algebra", "M2@Fp:2", "--cap", "100"],
+        # exit 1 would claim a counterexample
+        ["counterexample", "--poly", "1,a"],
+        ["counterexample", "--poly", ","],
+        ["counterexample", "--deg-max", "-1", "--seed", "1"],
+        ["counterexample", "--count", "-1", "--seed", "1"],
+        ["counterexample", "--count", "0", "--seed", "1"],
     ]
     for argv in cases:
         code, out, err = run_cli(*argv)
