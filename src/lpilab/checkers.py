@@ -34,8 +34,10 @@ so no worker builds anything and every start method runs the same path.
 One sweep, `_scan`, owns that order for every element. What it evaluates
 at each tuple is the element's program: the subset DP when the element's
 image in the algebra's ring is a standard polynomial S_k on x1..xk, the
-term-by-term program otherwise. Both give the same value at every tuple,
-so the choice changes neither witness nor count.
+staged program otherwise, which computes each sub-polynomial once per
+tuple of the variables it reads rather than at every leaf. Both give the
+same value at every tuple, so the choice changes neither witness nor
+count.
 """
 
 import functools

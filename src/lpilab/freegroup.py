@@ -55,7 +55,12 @@ class Word:
         return not self.syllables
 
     def letter_length(self):
-        return sum(abs(e) for _, e in self.syllables)
+        # a plain loop, not a generator: sort_key calls this for every word
+        # of a sort, where a generator per word costs as much as the sort
+        n = 0
+        for _, e in self.syllables:
+            n += e if e > 0 else -e
+        return n
 
     def variables(self):
         return {g for g, _ in self.syllables}

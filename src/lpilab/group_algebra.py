@@ -10,7 +10,9 @@ restriction, the normalization substitution x_i -> x_i^k, profile bounds,
 diagonal specialization to one variable, standard polynomials, the
 zero-total-sum families built from them, and `_program`, which compiles an
 element into the one program that evaluates it on index tables, matrices
-and quotient elements alike.
+and quotient elements alike: the subset DP for a standard polynomial, and
+otherwise a staged program that evaluates each sub-polynomial as soon as
+the variables it reads are entered.
 """
 
 import itertools
@@ -346,32 +348,142 @@ def _value_ops(like):
         scalar_index=lambda c: SimpleNamespace(mul=lambda v: v.scale(c)))
 
 
-def _term_program(ops, e):
-    """The program that evaluates e term by term. enter(d, x) caches the
-    powers of variable d that e uses, inverses included, each by
-    square-and-multiply from its first factor; value() takes each term
-    from its first factor on and negates it for the coefficient -1 or
-    scales it for any other coefficient but 1. No product by the identity
-    is ever taken."""
+def _staged_program(ops, e):
+    """The program that evaluates e in stages, each sub-polynomial at the
+    shallowest scan depth that fixes its variables.
+
+    A sub-polynomial P with deepest variable v is Q + sum L * v^a * R:
+    Q holds P's v-free terms, each other word splits at its first v
+    syllable into u0 * v^a * u1, the terms are grouped by (a, u0) into a
+    right sum R, and the rows whose R agree up to a unit scalar s merge
+    into one row with left sum L = sum s * u0. Q and L have no v and R has
+    shorter words, so each is compiled the same way, once per distinct
+    sub-polynomial, into a node at the depth of its deepest variable.
+    enter(d, x) caches the powers of variable d that e uses, inverses
+    included, each by square-and-multiply from its first factor, and then
+    computes every node at depth d in creation order; value() reads the
+    root. A scalar is applied as a negation or a scale, never as a
+    product, and no product by the identity is ever taken."""
     R = ops.ring
     variables = sorted(e.variables())
+    depth_of = {g: d for d, g in enumerate(variables)}
     image = e.map_ring(R, embed_into(e.ring, R))
-    MUL, ADD, NEG, INV, ZERO = ops.mul, ops.add, ops.neg, ops.inverse, ops.zero
-    # powers[d] is keyed by the exponents of variable d that e uses
-    powers = [{} for _ in variables]
-    cache_of = dict(zip(variables, powers))
-    terms = []
-    for w, c in image.terms_sorted():
-        scale = None if c == R.one else NEG if c == R.neg(R.one) else MUL[ops.scalar_index(c)]
-        # the empty word reads the identity from a cache of its own
-        factors = [(cache_of[g], x) for g, x in w.syllables] or [({0: ops.one}, 0)]
-        for g, x in w.syllables:
-            cache_of[g][x] = None
-        terms.append((scale, *factors[0], tuple(factors[1:])))
+    MUL, ADD, NEG, INV = ops.mul, ops.add, ops.neg, ops.inverse
+    ONE, MINUS_ONE = R.one, R.neg(R.one)
+    # V[slot] is a node's value and depth[slot] its depth, -1 for a constant
+    V, depth = [], []
+    powers = [{} for _ in variables]  # powers[d]: exponent of variable d -> slot
+    steps = [[] for _ in variables]  # steps[d]: the nodes at depth d, in order
+    memo = {}
+
+    def new_slot(d, value=None):
+        V.append(value)
+        depth.append(d)
+        return len(V) - 1
+
+    def scaler(c):
+        return NEG if c == MINUS_ONE else MUL[ops.scalar_index(c)]
+
+    def scale_node(child, c):
+        """A node at child's depth: child's value times the scalar c."""
+        d = depth[child]
+        slot = new_slot(d)
+        steps[d].append((slot, scaler(c), child, None))
+        return slot
+
+    def scaled(P, s):
+        return {w: R.mul(s, c) for w, c in P.items()}
+
+    def normalized(P):
+        """(s, P / s) for s P's coefficient on its least word when that is
+        a unit, else (one, P): P and its unit multiples share P / s."""
+        s = P[min(P)]
+        if s == ONE or not R.is_unit(s):
+            return ONE, P
+        return s, scaled(P, R.inv(s))
+
+    def constant(P):
+        """P's scalar when P is a constant, else None."""
+        return P.get(()) if len(P) == 1 else None
+
+    def node(P):
+        """The slot of the nonzero sub-polynomial P, a dict {syllables: coeff}.
+        build(P) yields each sub-polynomial it needs and is sent its slot;
+        the loop runs the builds on a stack of its own, so the call stack
+        does not grow with the length of a word."""
+        key = frozenset(P.items())
+        if key in memo:
+            return memo[key]
+        stack, sent = [(key, build(P))], None
+        while True:
+            key, builder = stack[-1]
+            try:
+                sub = builder.send(sent)
+            except StopIteration as done:
+                memo[key] = sent = done.value
+                stack.pop()
+                if not stack:
+                    return sent
+                continue
+            key = frozenset(sub.items())
+            if key in memo:
+                sent = memo[key]
+            else:
+                stack.append((key, build(sub)))
+                sent = None
+
+    def build(P):
+        """A generator that builds P's node; see node."""
+        if len(P) == 1:
+            (w, c), = P.items()
+            if not w:
+                return new_slot(-1, ops.one if c == ONE else scaler(c)[ops.one])
+            if len(w) == 1:
+                (g, a), = w
+                d = depth_of[g]
+                if a not in powers[d]:
+                    powers[d][a] = new_slot(d)
+                return powers[d][a] if c == ONE else scale_node(powers[d][a], c)
+        s, unit = normalized(P)
+        if s != ONE:
+            return scale_node((yield unit), s)
+        v = max(g for w in P for g, _ in w)
+        Q, groups = {}, {}
+        for w, c in P.items():
+            i = next((i for i, (g, _) in enumerate(w) if g == v), None)
+            if i is None:
+                Q[w] = c
+            else:
+                groups.setdefault((w[i][1], w[:i]), {})[w[i + 1:]] = c
+        merged = {}
+        for (a, u0), right in groups.items():
+            s, right = normalized(right)
+            merged.setdefault((a, frozenset(right.items())), (right, {}))[1][u0] = s
+        rows = []
+        for (a, _), (right, left) in merged.items():
+            # a scalar side goes onto the other side, or onto v^a alone
+            cl, cr = constant(left), constant(right)
+            power = yield {((v, a),): ONE}
+            if cl is not None and cr is not None:
+                rows.append((None, (yield {((v, a),): R.mul(cl, cr)}), None))
+            elif cr is not None:
+                rows.append(((yield scaled(left, cr)), power, None))
+            elif cl is not None:
+                rows.append((None, power, (yield scaled(right, cl))))
+            else:
+                rows.append(((yield left), power, (yield right)))
+        q = (yield Q) if Q else None
+        d = depth_of[v]
+        slot = new_slot(d)
+        steps[d].append((slot, None, q, rows))
+        return slot
+
+    terms = {w.syllables: c for w, c in image.terms.items()}
+    root = node(terms) if terms else new_slot(-1, ops.zero)
+    powers = [list(p.items()) for p in powers]
 
     def enter(d, idx):
-        cache = powers[d]
-        for x in cache:
+        for x, slot in powers[d]:
             base = idx if x > 0 else INV[idx]
             k, acc = abs(x), None
             while k:
@@ -380,20 +492,22 @@ def _term_program(ops, e):
                 k >>= 1
                 if k:
                     base = MUL[base][base]
-            cache[x] = acc
+            V[slot] = acc
+        for out, scale, q, rows in steps[d]:
+            if rows is None:
+                V[out] = scale[V[q]]
+                continue
+            acc = None if q is None else V[q]
+            for l, p, r in rows:
+                t = V[p]
+                if l is not None:
+                    t = MUL[V[l]][t]
+                if r is not None:
+                    t = MUL[t][V[r]]
+                acc = t if acc is None else ADD[acc][t]
+            V[out] = acc
 
-    def value():
-        acc = ZERO
-        for scale, cache, x, rest in terms:
-            v = cache[x]
-            for c, y in rest:
-                v = MUL[v][c[y]]
-            if scale is not None:
-                v = scale[v]
-            acc = ADD[acc][v]
-        return acc
-
-    return len(variables), enter, value
+    return len(variables), enter, lambda: V[root]
 
 
 def _standard_program(ops, k):
@@ -435,8 +549,11 @@ def _program(ops, e):
     value there. ops is the index tables of a finite algebra, where x is
     an index and mul[a][b] a list lookup, or _value_ops. The program is
     the subset DP when e's image in the ops' ring is S_k on x1..xk, else
-    the term program; the choice depends on e and the ring alone, so
-    every caller makes the same one."""
+    the staged program; the choice depends on e and the ring alone, so
+    every caller makes the same one. The DP stays for S_k because its full
+    pass is cheaper: on S_6 it takes 186 products where the staged
+    program takes 242, although the staged program takes fewer at the
+    last variable."""
     R = ops.ring
     variables = sorted(e.variables())
     k = len(variables)
@@ -444,4 +561,4 @@ def _program(ops, e):
         image = e.map_ring(R, embed_into(e.ring, R))
         if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
             return _standard_program(ops, k)
-    return _term_program(ops, e)
+    return _staged_program(ops, e)

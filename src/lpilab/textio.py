@@ -626,11 +626,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "cap") and args.cap is None:
-        args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
-    if hasattr(args, "workers") and args.workers is None:
-        args.workers = _env_int("LPILAB_WORKERS", 1)
     try:
+        if hasattr(args, "cap") and args.cap is None:
+            args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
+        if hasattr(args, "workers") and args.workers is None:
+            args.workers = _env_int("LPILAB_WORKERS", 1)
         return args.handler(args)
     except ParseError as exc:
         print(f"error: parse error at line {exc.line} col {exc.col}: {exc}",

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import functools
 import itertools
 import multiprocessing
@@ -29,7 +30,8 @@ from lpilab.checkers import (
 )
 from lpilab.errors import CapExceeded, PreconditionError, SolveError
 from lpilab.freegroup import Word
-from lpilab.group_algebra import LaurentElement, OneVarLaurent, gi_to_lpi, standard_polynomial
+from lpilab.group_algebra import (LaurentElement, OneVarLaurent, _Calls, gi_to_lpi,
+                                  standard_polynomial)
 from lpilab.matrix_algebra import Matrix, det, evaluate, matrix_unit, parse_algebra
 from lpilab.quotient_algebra import QuotientElement
 from lpilab.rings import QQ, ZZ, PrimeField, UniPoly, unipoly_eval
@@ -212,16 +214,61 @@ def _refuse(monkeypatch, program):
 def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
     tb = checkers._Tables(parse_algebra(descriptor))
     ground = list(range(tb.n))
-    standard, term = group_algebra._standard_program, group_algebra._term_program
+    # the staged program, which every element but S_k on x1..xk runs
+    standard, staged = group_algebra._standard_program, group_algebra._staged_program
     half = round(tb.n / 2)
     # the whole scan, then split at the first variable as two workers split it
     for ranges in ([range(tb.n)], [range(half), range(half, tb.n)]):
         results = []
-        for program in (lambda tb, e: standard(tb, k), term):
+        for program in (lambda tb, e: standard(tb, k), staged):
             monkeypatch.setattr(checkers, "_program", program)
             results.append([checkers._scan(tb, standard_polynomial(k), ground, r)
                             for r in ranges])
         assert results[0] == results[1], ranges
+
+
+class _CountedRows:
+    """tb.mul with every product counted: self[a][b] is tb.mul[a][b]."""
+
+    def __init__(self, rows):
+        self.rows, self.products = rows, 0
+
+    def __getitem__(self, a):
+        return _Calls(lambda b: self._product(a, b))
+
+    def _product(self, a, b):
+        self.products += 1
+        return self.rows[a][b]
+
+
+def _leaf_products(tb, e, program):
+    """The products that entering the last variable and reading the value
+    take once every other variable is entered."""
+    rng = random.Random(e.format())
+    counted = _CountedRows(tb.mul)
+    tb = copy.copy(tb)
+    tb.mul = counted
+    nvars, enter, value = program(tb, e)
+    for d in range(nvars - 1):
+        enter(d, rng.randrange(tb.n))
+    counted.products = 0
+    enter(nvars - 1, rng.randrange(tb.n))
+    value()
+    return counted.products
+
+
+def test_staged_program_takes_its_products_above_the_leaf():
+    tb = checkers._Tables(parse_algebra("M2@Fp:3"))
+    square = parse_element("(x1*x2-x2*x1)^2*x3-x3*(x1*x2-x2*x1)^2")
+    # A = [x1, x2]^2 is computed once per (x1, x2), so the leaf takes only
+    # A*x3 and x3*A
+    assert _leaf_products(tb, square, group_algebra._program) <= 2
+    # on S_k it takes fewer leaf products than the subset DP, which keeps
+    # S_k for its cheaper full pass
+    for k, dp in zip(range(2, 7), (2, 7, 19, 47, 111)):
+        s = standard_polynomial(k)
+        assert _leaf_products(tb, s, group_algebra._staged_program) == 2**k - 2
+        assert _leaf_products(tb, s, lambda ops, e: group_algebra._standard_program(ops, k)) == dp
 
 
 def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
@@ -232,14 +279,14 @@ def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
     with monkeypatch.context() as m:
         _refuse(m, "_standard_program")
         assert group_algebra._program(m2f3, flipped)[0] == 3
-    _refuse(monkeypatch, "_term_program")
+    _refuse(monkeypatch, "_staged_program")
     assert group_algebra._program(checkers._Tables(M2F2), flipped)[0] == 3
     v = check_lpi(M2F2, flipped)
     assert v.outcome == "counterexample" and v.evaluations == 293
 
 
 def test_standard_identities_run_the_subset_dp(monkeypatch):
-    _refuse(monkeypatch, "_term_program")
+    _refuse(monkeypatch, "_staged_program")
     v = check_lpi(T3F2, standard_polynomial(4))
     assert v.outcome == "counterexample" and v.evaluations == 270609
     v = al_verify(2, 2, workers=2)
@@ -678,8 +725,8 @@ GATE_CASES = [
      lambda: check_group_identity(M2F2, Word.gen(1, 2))),
     ("check_group_identity/random", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)),
-    # x1^6 = 1 on GL_2(F_2); the term program reports 1 - x1^6 as 1 at once
-    ("check_group_identity/exhaustive/false-hit", "group_algebra._term_program",
+    # x1^6 = 1 on GL_2(F_2); the staged program reports 1 - x1^6 as 1 at once
+    ("check_group_identity/exhaustive/false-hit", "group_algebra._staged_program",
      lambda ops, e: _one_program(ops, len(e.variables())),
      lambda: check_group_identity(M2F2, Word.gen(1, 6))),
     ("nil_exponent_search/exhaustive", "_reverify_quad", lambda w, power: False,

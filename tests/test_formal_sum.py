@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpilab.checkers import _plain_eval
+from lpilab.checkers import _Tables, _plain_eval
 from lpilab.errors import PreconditionError, RingMismatch
 from lpilab.freegroup import IDENTITY, Word
 from lpilab import group_algebra
 from lpilab.group_algebra import LaurentElement, OneVarLaurent, standard_polynomial
-from lpilab.matrix_algebra import Matrix, evaluate, parse_algebra
+from lpilab.matrix_algebra import Matrix, evaluate, mat_inverse, parse_algebra
 from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
 from lpilab.rings import QQ, ZZ, FormalSum, PrimeField
 
@@ -139,7 +139,7 @@ def shifted(e, by):
 
 
 # S_2..S_5 run the subset DP; S_3 on x2, x3, x4 is not S_3 on x1..x3, so it
-# runs the term program
+# runs the staged program
 STANDARD_INPUTS = [standard_polynomial(k) for k in (2, 3, 4, 5)] + [
     shifted(standard_polynomial(3), 1)]
 
@@ -216,10 +216,78 @@ def test_plain_eval_stays_apart_from_the_fold(monkeypatch):
     q_expected = q_evaluate(s4, qargs)
     monkeypatch.setattr(LaurentElement, "at", refused)
     monkeypatch.setattr(LaurentElement, "compiled", refused)
-    for name in ("_program", "_term_program", "_standard_program"):
+    for name in ("_program", "_staged_program", "_standard_program"):
         monkeypatch.setattr(group_algebra, name, refused)
     assert _plain_eval(e, mats) == expected
     assert _plain_eval(s4, qargs) == q_expected
+
+
+def run_program(ops, e, values):
+    """e's compiled program over ops, entered at values in generator order."""
+    nvars, enter, value = group_algebra._program(ops, e)
+    for d, x in enumerate(values):
+        enter(d, x)
+    return value()
+
+
+TABLE_CASES = {d: _Tables(parse_algebra(d))
+               for d in ("M2@Fp:2", "M2@Fp:3", "T2@Fp:5", "T3@Fp:2", "D2@Fp:3")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(TABLE_CASES)), st.randoms(use_true_random=False))
+def test_compiled_value_on_the_tables_is_the_plain_value(descriptor, rng):
+    tb = TABLE_CASES[descriptor]
+    e = random_laurent(rng)
+    ground = tb.units if e.has_negative_exponent() else range(tb.n)
+    variables = sorted(e.variables()) or [1]
+    for _ in range(4):
+        tup = [rng.choice(ground) for _ in variables]
+        value = run_program(tb, e, tup[:len(e.variables())])
+        plain = _plain_eval(e, {g: tb.elements[i] for g, i in zip(variables, tup)})
+        assert tb.elements[value] == plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compiled_value_on_matrices_and_quotient_elements_is_the_plain_value(rng):
+    e = random_laurent(rng)
+    variables = sorted(e.variables()) or [1]
+    mats = {g: zz_unit(rng) for g in variables}
+    ops = group_algebra._value_ops(mats[variables[0]])
+    ops.inverse.update({m: mat_inverse(m) for m in mats.values()})
+    assert run_program(ops, e, [mats[g] for g in sorted(e.variables())]) == \
+        _plain_eval(e, mats)
+    # _plain_eval inverts no quotient element: each inverse is the certified
+    # inverse of a q_unit, assigned to a fresh variable
+    units = {g: q_unit(ZZ, [(rng.randint(-2, 2), rng.choice("xy"))
+                            for _ in range(rng.randint(0, 3))]) for g in (1, 2, 3)}
+    ops = group_algebra._value_ops(units[1].value)
+    ops.inverse.update({u.value: u.inverse for u in units.values()})
+    plain = {g: u.value for g, u in units.items()}
+    plain.update({g + 3: u.inverse for g, u in units.items()})
+    assert run_program(ops, e, [units[g].value for g in sorted(e.variables())]) == \
+        _plain_eval(rename_inverses(e, 3), plain)
+
+
+def test_words_longer_than_the_recursion_limit_compile():
+    """The compiler keeps its own stack, so a word of thousands of syllables
+    compiles: here the left factor u0 and the right sum R of x3 each have
+    3,000 syllables."""
+    tb = TABLE_CASES["M2@Fp:3"]
+    zigzag = Word(((1, 1), (2, -1)) * 1500)
+    x3 = Word.gen(3)
+    e = LaurentElement(ZZ, [(zigzag * x3 * Word(((2, 1), (1, 1)) * 1500), 1),
+                            (x3 * zigzag, -1), (zigzag, 2)])
+    rng = random.Random(12)
+    for _ in range(3):
+        tup = [rng.choice(tb.units) for _ in range(3)]
+        mats = {g: tb.elements[i] for g, i in zip((1, 2, 3), tup)}
+        plain = _plain_eval(e, mats)
+        assert tb.elements[run_program(tb, e, tup)] == plain
+        ops = group_algebra._value_ops(mats[1])
+        ops.inverse.update({m: mat_inverse(m) for m in mats.values()})
+        assert run_program(ops, e, [mats[g] for g in (1, 2, 3)]) == plain
 
 
 # ---------------------------------------------------------------------------

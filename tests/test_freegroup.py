@@ -61,12 +61,14 @@ def test_substitute_powers_each_occurrence():
 
 
 def test_sort_key_orders_by_length_then_syllables():
-    words = [Word.gen(2), Word.gen(1, 2), Word.gen(1), IDENTITY]
+    words = [Word.gen(2), Word.gen(1, 2), Word.gen(1), IDENTITY, Word.gen(1, -2)]
     ordered = sorted(words, key=lambda w: w.sort_key())
     assert ordered[0] == IDENTITY
     assert ordered[1] == Word.gen(1)
     assert ordered[2] == Word.gen(2)
-    assert ordered[3] == Word.gen(1, 2)
+    # a negative exponent counts by its absolute value
+    assert ordered[3] == Word.gen(1, -2)
+    assert ordered[4] == Word.gen(1, 2)
 
 
 def test_format():

@@ -108,7 +108,7 @@ def test_corpus_round_trips():
     """Parse, format, reparse: the two elements must be equal."""
     with open(DATA) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    assert len(lines) == 100
+    assert len(lines) == 102
     for line in lines:
         ring_text, context, expr = line.split("|", 2)
         ring = ring_from_descriptor(ring_text)
@@ -262,6 +262,16 @@ def test_env_caps_are_honored(monkeypatch):
     monkeypatch.setenv("LPILAB_CAP", "notanint")
     code, out, err = run_cli("bounds", "--d", "1")
     assert code == 0  # bounds has no cap flag, env untouched
+    monkeypatch.delenv("LPILAB_CAP")
+    # a value that is no integer is a usage error: exit 1 would read as
+    # "counterexample found"
+    for name in ("LPILAB_CAP", "LPILAB_WORKERS"):
+        for raw in ("abc", "1.5"):
+            with monkeypatch.context() as m:
+                m.setenv(name, raw)
+                code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
+            assert code == 2 and out == ""
+            assert err == f"error: {name} must be an integer, got {raw!r}\n"
 
 
 def test_module_entry_point():
