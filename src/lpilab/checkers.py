@@ -31,13 +31,19 @@ workers each contiguous chunk of the first variable reports its earliest
 hit, and evaluations are counted only up to the first chunk with a hit.
 Workers run the parent's own tables and element, which reach them pickled,
 so no worker builds anything and every start method runs the same path.
-One sweep, `_scan`, owns that order for every element. What it evaluates
-at each tuple is the element's program: the subset DP when the element's
-image in the algebra's ring is a standard polynomial S_k on x1..xk, the
-staged program otherwise, which computes each sub-polynomial once per
-tuple of the variables it reads rather than at every leaf. Both give the
-same value at every tuple, so the choice changes neither witness nor
-count.
+One sweep, `_scan`, owns that order for every element. At each tuple it
+computes the element's value exactly, by the element's staged program,
+which computes each sub-polynomial once per tuple of the variables it
+reads rather than at every leaf. The innermost variable is resolved a
+row at a time. When every word of the element holds the last variable
+at most once, and only as x^1, the value is an affine function f of
+that variable, so f(x + e_t) = f(x) + f(e_t) - f(0) for each basis
+element e_t. An index is a sum of digit times e_t, so the row of N
+values follows from f(0) and the L values f(e_t) by the recurrence that
+builds the tables' mul rows: L + 1 evaluations instead of N, and none
+past f(0) when all of them are zero. Other elements are evaluated at
+every position of the row. Either way the count is the hit's position
+in canonical order, so the row changes neither witness nor count.
 """
 
 import functools
@@ -222,9 +228,11 @@ class _Tables:
     additions mod p, so a row of `add` follows from bumping one digit at a
     time. b -> a*b is linear, so a row of `mul` needs only the L products
     a*e_t: a*b = a*(b - p**t) + a*e_t. Building the tables therefore costs
-    N*L matrix products and O(N**2) list steps. `neg` is read off `add`, and `inverse` off `mul`: in a
-    finite-dimensional algebra a one-sided inverse is two-sided, so a is a
-    unit of the algebra exactly when its `mul` row holds the identity.
+    N*L matrix products and O(N**2) list steps. `p` and the basis indices
+    `weights` stay, so that `_scan` builds the rows of an affine element by
+    the same recurrence. `neg` is read off `add`, and `inverse` off `mul`:
+    in a finite-dimensional algebra a one-sided inverse is two-sided, so a
+    is a unit of the algebra exactly when its `mul` row holds the identity.
     Every entry is an item of one shared list of the N indices.
     """
 
@@ -239,8 +247,9 @@ class _Tables:
         n = len(self.elements)
         ids = list(range(n))
         self.index = dict(zip(self.elements, ids))
-        p = algebra.ring.p
-        weights = [p**t for t in range(len(algebra.positions()))]
+        self.p = p = algebra.ring.p
+        # weights[t] = p**t, the index of the basis element e_t
+        self.weights = weights = [ids[p**t] for t in range(len(algebra.positions()))]
         # bumps[t][x]: x with its digit of weight p**t raised by one, mod p
         bumps = [[ids[x - (p - 1) * w if x // w % p == p - 1 else x + w] for x in ids]
                  for w in weights]
@@ -266,12 +275,29 @@ class _Tables:
 # the exhaustive scan
 
 
+def _affine_in(e, g):
+    """Whether every word of e holds the generator g at most once, and only
+    as g^1, so that e's value is an affine function of g's value."""
+    for w in e.terms:
+        exponents = [x for h, x in w.syllables if h == g]
+        if exponents and exponents != [1]:
+            return False
+    return True
+
+
 def _scan(tb, e, ground, outer_range):
     """Sweep ground**nvars in lexicographic order, returning the first tuple
     of indices where e evaluates to nonzero (None when there is none) and
-    the evaluation count. outer_range restricts the first variable's
-    positions within ground, so workers can split the space without
-    changing the order."""
+    the evaluation count, the hit's position in that order. outer_range
+    restricts the first variable's positions within ground, so workers can
+    split the space without changing the order.
+
+    The recursion enters the variables but the last; a leaf then resolves
+    the last variable's whole row. When e is affine in the last variable
+    the leaf enters only index 0 and the L basis indices and builds the
+    row from them by linearity, as _Tables builds its mul rows; otherwise
+    it enters every position in turn. Both leaves count every position up
+    to the hit, so the count does not depend on the leaf."""
     nvars, enter, value = _program(tb, e)
     ZERO = tb.zero
     if nvars == 0:
@@ -280,22 +306,53 @@ def _scan(tb, e, ground, outer_range):
     assign = [0] * nvars
     last = nvars - 1
     evaluations = 0
+    ADD, NEG, p, basis = tb.add, tb.neg, tb.p, tb.weights
 
-    def rec(d):
+    def by_position(positions):
+        for count, pos in enumerate(positions, 1):
+            enter(last, ground[pos])
+            if value() != ZERO:
+                return pos, count
+        return None, len(positions)
+
+    def by_row(positions):
+        # index b is the sum of digit_t * e_t, and f(x + e_t) = f(x) + f(e_t) - f(0)
+        enter(last, ZERO)
+        f0 = value()
+        images = []
+        for b in basis:
+            enter(last, b)
+            images.append(value())
+        # index 0 is zero, the only false index: the identity holds on the row
+        if not f0 and not any(images):
+            return None, len(positions)
+        minus_f0 = NEG[f0]
+        row = _linear_row(f0, [ADD[ADD[f][minus_f0]] for f in images], p)
+        values = map(row.__getitem__, ground[positions.start:positions.stop])
+        pos = next(itertools.compress(positions, values), None)
+        return pos, len(positions) if pos is None else positions.index(pos) + 1
+
+    leaf = by_row if _affine_in(e, max(e.variables())) else by_position
+
+    def rec(d, positions):
         nonlocal evaluations
-        for pos in outer_range if d == 0 else range(len(ground)):
+        if d == last:
+            pos, count = leaf(positions)
+            evaluations += count
+            if pos is None:
+                return False
+            assign[d] = ground[pos]
+            return True
+        for pos in positions:
             idx = ground[pos]
             assign[d] = idx
             enter(d, idx)
-            if d == last:
-                evaluations += 1
-                if value() != ZERO:
-                    return True
-            elif rec(d + 1):
+            if rec(d + 1, everywhere):
                 return True
         return False
 
-    return (tuple(assign) if rec(0) else None), evaluations
+    everywhere = range(len(ground))
+    return (tuple(assign) if rec(0, outer_range) else None), evaluations
 
 
 def _run_scan(algebra, e, ground_kind, cap, workers):

@@ -10,9 +10,9 @@ restriction, the normalization substitution x_i -> x_i^k, profile bounds,
 diagonal specialization to one variable, standard polynomials, the
 zero-total-sum families built from them, and `_program`, which compiles an
 element into the one program that evaluates it on index tables, matrices
-and quotient elements alike: the subset DP for a standard polynomial, and
-otherwise a staged program that evaluates each sub-polynomial as soon as
-the variables it reads are entered.
+and quotient elements alike: a staged program that evaluates each
+sub-polynomial as soon as the variables it reads are entered, or, for a
+standard polynomial evaluated on values, the subset DP.
 """
 
 import itertools
@@ -547,17 +547,20 @@ def _program(ops, e):
     over ops. enter(d, x) assigns x to e's d-th variable in generator
     order, the variables being entered in that order, and value() is e's
     value there. ops is the index tables of a finite algebra, where x is
-    an index and mul[a][b] a list lookup, or _value_ops. The program is
-    the subset DP when e's image in the ops' ring is S_k on x1..xk, else
-    the staged program; the choice depends on e and the ring alone, so
-    every caller makes the same one. The DP stays for S_k because its full
-    pass is cheaper: on S_6 it takes 186 products where the staged
-    program takes 242, although the staged program takes fewer at the
-    last variable."""
+    an index and mul[a][b] a list lookup, or _value_ops. Over _value_ops
+    the program is the subset DP when e's image in the ops' ring is S_k on
+    x1..xk, else the staged program; the choice depends on e, the ring and
+    the kind of ops alone, so every caller makes the same one. The DP
+    serves values because they are evaluated in full passes (`evaluate`,
+    random mode, quotient checks), where it is cheaper: on S_6 it takes
+    186 products where the staged program takes 242. The table scans
+    enter mostly the last variable, where the staged program takes fewer
+    (14 against 19 on S_4), so the tables always run the staged program."""
     R = ops.ring
     variables = sorted(e.variables())
     k = len(variables)
-    if 0 < k <= STANDARD_CAP and variables[-1] == k:
+    # _value_ops calls for its products, where the tables look them up
+    if isinstance(ops.mul, _Calls) and 0 < k <= STANDARD_CAP and variables[-1] == k:
         image = e.map_ring(R, embed_into(e.ring, R))
         if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
             return _standard_program(ops, k)

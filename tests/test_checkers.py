@@ -11,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lpilab import checkers, group_algebra, matrix_algebra
 from lpilab.checkers import (
@@ -214,7 +216,7 @@ def _refuse(monkeypatch, program):
 def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
     tb = checkers._Tables(parse_algebra(descriptor))
     ground = list(range(tb.n))
-    # the staged program, which every element but S_k on x1..xk runs
+    # the staged program, which the tables run for every element
     standard, staged = group_algebra._standard_program, group_algebra._staged_program
     half = round(tb.n / 2)
     # the whole scan, then split at the first variable as two workers split it
@@ -225,6 +227,155 @@ def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
             results.append([checkers._scan(tb, standard_polynomial(k), ground, r)
                             for r in ranges])
         assert results[0] == results[1], ranges
+
+
+# every enumerable family and p = 2, 3, 5, 7, as in the table tests
+SCAN_ALGEBRAS = ("M2@Fp:2", "M2@Fp:3", "T2@Fp:5", "T3@Fp:2", "D2@Fp:7", "D3@Fp:3")
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_tables(descriptor):
+    return checkers._Tables(parse_algebra(descriptor))
+
+
+def _ground(tb, kind):
+    return tb.units if kind == "units" else list(range(tb.n))
+
+
+def _per_tuple_sweep(tb, e, ground, outer_range):
+    """What _scan must return, from a sweep that enters every variable at
+    every tuple and reads each tuple's value on its own."""
+    nvars, enter, value = group_algebra._program(tb, e)
+    if nvars == 0:
+        return (() if value() != tb.zero else None), 1
+    count = 0
+    for tup in itertools.product(outer_range, *[range(len(ground))] * (nvars - 1)):
+        count += 1
+        for d, pos in enumerate(tup):
+            enter(d, ground[pos])
+        if value() != tb.zero:
+            return tuple(ground[pos] for pos in tup), count
+    return None, count
+
+
+def _assert_scan_is_the_sweep(tb, e, ground):
+    """The whole scan, and the scan split in two at the first variable as
+    two workers split it, each equal to the per-tuple sweep."""
+    half = len(ground) // 2
+    for ranges in ([range(len(ground))], [range(half), range(half, len(ground))]):
+        for r in ranges:
+            assert checkers._scan(tb, e, ground, r) == _per_tuple_sweep(tb, e, ground, r), \
+                (tb.algebra.descriptor(), e.format(), r)
+
+
+# (algebra, element, ground); each is affine in its last variable unless
+# noted, and each mutation of the row leaf changes one of their answers
+SCAN_CASES = [
+    ("M2@Fp:2", "S(3)", "elements"),
+    # the last variable vanishes from the image mod 2
+    ("M2@Fp:2", "x1*x2-x2*x1+2*x3", "elements"),
+    ("M2@Fp:3", "x1^-1*x2*x1-x2", "units"),
+    ("T2@Fp:5", "x1^-1*x2*x1-x2", "units"),
+    ("D2@Fp:7", "x1^-1*x2*x1-x2", "units"),
+    ("T3@Fp:2", "x1*x2-x2*x1+x1*x1-x1", "elements"),
+    ("T2@Fp:5", "x1*x2*x1-x2*x1*x1+x1-x1^2", "elements"),
+    # terms without the last variable: f(0) is not zero on the rows
+    ("M2@Fp:3", "x1^-1*x2*x1-x2+x1-1", "units"),
+    ("T3@Fp:2", "x1*x2-x2+x1-1", "units"),
+    ("T2@Fp:5", "(x1-1)*(x2-1)", "units"),
+    ("D3@Fp:3", "(x1-1)*(x2-1)", "units"),
+    ("M2@Fp:3", "x1-1", "elements"),
+    # not affine in the last variable: the per-position leaf
+    ("M2@Fp:3", "x1*x2^2-x2^2*x1", "elements"),
+    ("T3@Fp:2", "x1*x2*x1*x2-x2*x1*x2*x1", "elements"),
+    ("T2@Fp:5", "x1*x2^-1-x2^-1*x1", "units"),
+]
+
+
+@pytest.mark.parametrize("descriptor, expr, kind", SCAN_CASES)
+def test_scan_is_the_per_tuple_sweep(descriptor, expr, kind):
+    tb = _scan_tables(descriptor)
+    _assert_scan_is_the_sweep(tb, parse_element(expr), _ground(tb, kind))
+
+
+def _scan_case_words(draw, last, inverses, affine):
+    """Words over x1..x{last}. The first holds x{last}: once, as x^1, when
+    affine, else twice or with another exponent. Each other word holds it
+    at most once, as x^1."""
+    exponents = [1, 2, -1] if inverses else [1, 2]
+    earlier = st.tuples(st.integers(1, last - 1), st.sampled_from(exponents))
+    own = [[(last, 1)]] if affine else [[(last, 2)], [(last, 1), (1, 1), (last, 1)]]
+    if inverses and not affine:
+        own.append([(last, -1)])
+    words = []
+    for i in range(draw(st.integers(1, 4))):
+        syllables = draw(st.lists(earlier, max_size=3))
+        if i == 0 or draw(st.booleans()):
+            at = draw(st.integers(0, len(syllables)))
+            syllables[at:at] = draw(st.sampled_from(own)) if i == 0 else [(last, 1)]
+        words.append(Word(syllables))
+    return words
+
+
+@st.composite
+def _scan_cases(draw, affine):
+    """(tables, element, ground, last variable) on one of SCAN_ALGEBRAS; the
+    ground is the units when the element has an inverse."""
+    descriptor = draw(st.sampled_from(SCAN_ALGEBRAS))
+    tb = _scan_tables(descriptor)
+    # at most about 20,000 tuples, so the per-tuple sweep stays quick
+    last = 3 if tb.n <= 27 else 2
+    inverses = draw(st.booleans())
+    words = _scan_case_words(draw, last, inverses, affine)
+    coefficients = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=len(words),
+                                 max_size=len(words)))
+    terms = list(zip(words, coefficients))
+    if draw(st.booleans()):
+        # each word minus its mirror image: zero on the diagonal algebras,
+        # so their rows hold and the sweep runs to the end
+        terms += [(Word(w.syllables[::-1]), -c) for w, c in terms]
+    if draw(st.booleans()):
+        terms.append((Word(), draw(st.integers(1, 3))))
+    e = LaurentElement(ZZ, terms)
+    kind = "units" if e.has_negative_exponent() else draw(st.sampled_from(["elements", "units"]))
+    return tb, e, _ground(tb, kind), last
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_cases(affine=True))
+def test_scan_is_the_per_tuple_sweep_on_affine_elements(case):
+    tb, e, ground, last = case
+    assume(last in e.variables())
+    assert checkers._affine_in(e, last)
+    _assert_scan_is_the_sweep(tb, e, ground)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_scan_cases(affine=False))
+def test_scan_is_the_per_tuple_sweep_on_other_elements(case):
+    tb, e, ground, last = case
+    # unless the words that break affinity cancel, the per-position leaf runs
+    assume(not checkers._affine_in(e, last))
+    _assert_scan_is_the_sweep(tb, e, ground)
+
+
+def test_scan_cross_check_catches_a_broken_row(monkeypatch):
+    linear_row = checkers._linear_row
+    cases = [(_scan_tables(d), parse_element(expr), kind) for d, expr, kind in SCAN_CASES]
+    mutations = [
+        # the basis steps taken in the wrong order
+        lambda tb: lambda start, steps, p: linear_row(start, steps[::-1], p),
+        # steps of f(e_t) rather than f(e_t) - f(0): steps[t][f(0)] is f(e_t)
+        lambda tb: lambda start, steps, p: linear_row(
+            start, [tb.add[step[start]] for step in steps], p),
+    ]
+    for mutation in mutations:
+        with pytest.raises(AssertionError):
+            for tb, e, kind in cases:
+                # the tables are built, so the mutation reaches only the scan
+                monkeypatch.setattr(checkers, "_linear_row", mutation(tb))
+                _assert_scan_is_the_sweep(tb, e, _ground(tb, kind))
+        monkeypatch.undo()
 
 
 class _CountedRows:
@@ -264,7 +415,7 @@ def test_staged_program_takes_its_products_above_the_leaf():
     # A*x3 and x3*A
     assert _leaf_products(tb, square, group_algebra._program) <= 2
     # on S_k it takes fewer leaf products than the subset DP, which keeps
-    # S_k for its cheaper full pass
+    # S_k on values for its cheaper full pass
     for k, dp in zip(range(2, 7), (2, 7, 19, 47, 111)):
         s = standard_polynomial(k)
         assert _leaf_products(tb, s, group_algebra._staged_program) == 2**k - 2
@@ -275,22 +426,37 @@ def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
     # S_3 with the sign of x3*x2*x1 flipped: S_3 again mod 2, not mod 3
     flipped = parse_element("S(3) + 2*x3*x2*x1")
     assert flipped.coefficient(Word(((3, 1), (2, 1), (1, 1)))) == 1
-    m2f3 = checkers._Tables(parse_algebra("M2@Fp:3"))
     with monkeypatch.context() as m:
         _refuse(m, "_standard_program")
-        assert group_algebra._program(m2f3, flipped)[0] == 3
+        ops = group_algebra._value_ops(parse_algebra("M2@Fp:3").identity())
+        assert group_algebra._program(ops, flipped)[0] == 3
     _refuse(monkeypatch, "_staged_program")
-    assert group_algebra._program(checkers._Tables(M2F2), flipped)[0] == 3
-    v = check_lpi(M2F2, flipped)
-    assert v.outcome == "counterexample" and v.evaluations == 293
+    assert group_algebra._program(group_algebra._value_ops(M2F2.identity()), flipped)[0] == 3
+    v = check_lpi(M2F2, flipped, mode="random", budget=200, seed=5)
+    assert v.outcome == "counterexample" and v.evaluations == 5
 
 
 def test_standard_identities_run_the_subset_dp(monkeypatch):
+    s4 = standard_polynomial(4)
+    tb = checkers._Tables(T3F2)
+    # the tables run the staged program: a scan enters mostly the last
+    # variable, where it takes fewer products than the DP
+    with monkeypatch.context() as m:
+        _refuse(m, "_standard_program")
+        hit, count = checkers._scan(tb, s4, list(range(tb.n)), range(tb.n))
+        assert count == 270609
+        v = al_verify(2, 2, workers=2)
+        assert v.holds() and v.evaluations == 65536
+    # values run the DP: evaluate, which gives an exhaustive hit its value,
+    # and random mode
     _refuse(monkeypatch, "_staged_program")
-    v = check_lpi(T3F2, standard_polynomial(4))
-    assert v.outcome == "counterexample" and v.evaluations == 270609
-    v = al_verify(2, 2, workers=2)
-    assert v.holds() and v.evaluations == 65536
+    assignment = dict(enumerate((tb.elements[i] for i in hit), 1))
+    value = evaluate(s4, assignment)
+    assert not value.is_zero() and value == checkers._plain_eval(s4, assignment)
+    v = check_lpi(T3F2, s4, mode="random", budget=2000, seed=5)
+    assert v.outcome == "counterexample" and v.evaluations == 5
+    v = al_verify(2, 2, mode="random", budget=50, seed=1)
+    assert v.holds() and v.evaluations == 50
 
 
 def test_workers_rebuild_the_element_over_its_own_ring():
@@ -716,9 +882,10 @@ GATE_CASES = [
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
     ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
      lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
-    # the S_k program reports a nonzero value at the first tuple or sample
-    ("al_verify/exhaustive", "group_algebra._standard_program", _one_program,
-     lambda: al_verify(1, 2)),
+    # the tables' program for S_k, and the DP on values, report a nonzero
+    # value at the first tuple or sample
+    ("al_verify/exhaustive", "group_algebra._staged_program",
+     lambda ops, e: _one_program(ops, len(e.variables())), lambda: al_verify(1, 2)),
     ("al_verify/random", "group_algebra._standard_program", _one_program,
      lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
     ("check_group_identity/exhaustive", "_plain_eval", _zero_value,
