@@ -52,7 +52,6 @@ import os
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .errors import CapExceeded, PreconditionError, SolveError
 from .freegroup import Word
@@ -74,22 +73,41 @@ TABLE_CAP = 1024
 DEFAULT_BUDGET = 1000
 
 
-@dataclass
 class Verdict:
-    outcome: str
-    witness: object = None
-    evaluations: int = 0
-    mode: str = "exhaustive"
-    seed: object = None
-    elapsed_ms: int = 0
-    details: dict = field(default_factory=dict)
+    """The outcome of a check, with its witness, evaluation count, mode,
+    seed, timing and details. A plain class rather than a dataclass, so
+    that importing the package does not import dataclasses."""
+
+    _FIELDS = ("outcome", "witness", "evaluations", "mode", "seed", "elapsed_ms", "details")
+    __hash__ = None  # mutable and compared by value
+
+    def __init__(self, outcome, witness=None, evaluations=0, mode="exhaustive", seed=None,
+                 elapsed_ms=0, details=None):
+        self.outcome = outcome
+        self.witness = witness
+        self.evaluations = evaluations
+        self.mode = mode
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
+        self.details = {} if details is None else details
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"Verdict({fields})"
 
     def holds(self):
         return self.outcome == "holds"
 
 
 def _verdict(outcome, t0, **kw):
-    kw.setdefault("details", {})
     return Verdict(outcome=outcome, elapsed_ms=int((time.monotonic() - t0) * 1000), **kw)
 
 
@@ -541,6 +559,29 @@ def _nil_index(ops, idx, bound):
     return None
 
 
+# The survey of one row of products bac*u, u = 0, 1, ...: its size, how
+# many are not nilpotent and the first such u, its largest nil index and
+# the first u at it, and the first u past m_max. A position is None when
+# the row has no such u.
+_NilRow = namedtuple("NilRow", "size non_nilpotent first_bad top top_u first_over")
+
+
+def _nil_row(indices, bound):
+    """The _NilRow of a row of nil indices, None for a product that is not
+    nilpotent, with m_max = bound."""
+    nilpotent = [k for k in indices if k is not None]
+    top = max(nilpotent, default=None)
+    return _NilRow(
+        size=len(indices),
+        non_nilpotent=len(indices) - len(nilpotent),
+        first_bad=None if len(nilpotent) == len(indices) else indices.index(None),
+        top=top,
+        top_u=None if top is None else indices.index(top),
+        first_over=next((u for u, k in enumerate(indices) if k is not None and k > bound),
+                        None),
+    )
+
+
 def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_BUDGET,
                         seed=None, cap=DEFAULT_CAP):
     """Search the ground set a^2 = bc = 0 for the nil behavior of bacA.
@@ -554,6 +595,19 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     holds only when every product was nilpotent within m_max; otherwise
     the first product that is not nilpotent, or else the first past m_max,
     is the witness. Random mode runs the same survey over seeded samples.
+
+    Exhaustive mode classifies a row at a time. The nil index of bac*u
+    depends only on the product's index MUL[bac][u], so the row of
+    products bac*u, u in canonical order, depends on bac alone. Each
+    distinct bac is surveyed once (a _NilRow), from nil indices computed
+    once per element, and each triple (a, b, c) in canonical order folds
+    its row's survey. That fold is the per-quadruple one, exactly: counts
+    add up; the first product that is not nilpotent, or past m_max, is the
+    first such u of the first row that has one; and a row whose largest
+    index exceeds the running minimal m raises it to that index, with the
+    first u at it as index witness, which is where that row's last update
+    one product at a time would land. A random sample is a row of one.
+    Only the quadruples that become witnesses are built as matrices.
     """
     t0 = time.monotonic()
     n = algebra.n
@@ -563,7 +617,7 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     hard_bound = n  # nilpotence is settled at the dimension
     details = {}
 
-    def quadruples():
+    def rows():
         tb = _Tables(algebra, cap)
         sq0 = [i for i in range(tb.n) if tb.mul[i][i] == tb.zero]
         pairs = [
@@ -577,12 +631,23 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
             raise CapExceeded(f"{total} quadruples exceed the cap {cap}")
         details.update(square_zero=len(sq0), annihilating_pairs=len(pairs))
         E, MUL = tb.elements, tb.mul
+        indices = [_nil_index(tb, v, hard_bound) for v in range(tb.n)]
+        surveys = {}
+
+        def quad_at(a, b, c, u):
+            bac = MUL[MUL[b][a]][c]
+            return E[a], E[b], E[c], E[u], E[MUL[bac][u]]
+
         for a in sq0:
             for b, c in pairs:
                 bac = MUL[MUL[b][a]][c]
-                for u in range(tb.n):
-                    v = MUL[bac][u]
-                    yield (E[a], E[b], E[c], E[u], E[v]), _nil_index(tb, v, hard_bound)
+                row = surveys.get(bac)
+                if row is None:
+                    row = surveys[bac] = _nil_row([indices[v] for v in MUL[bac]], bound)
+                yield functools.partial(quad_at, a, b, c), row
+
+    if mode == "random":
+        ops = _value_ops(algebra.zero())
 
     def sample(rng):
         a = algebra.sample_square_zero(rng)
@@ -590,23 +655,23 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
         c = algebra.sample_right_annihilator(b, rng)
         u = algebra.sample_element(rng)
         v = b.mul(a).mul(c).mul(u)
-        return (a, b, c, u, v), _nil_index(_value_ops(v), v, hard_bound)
+        # a row of one, whose only position u = 0 is this quadruple
+        row = _nil_row([_nil_index(ops, v, hard_bound)], bound)
+        return ((a, b, c, u, v),).__getitem__, row
 
     examined = non_nilpotent = 0
     minimal_m = 1
     first_bad = over_mmax = m_witness = None
-    for quad, k in _draws(mode, quadruples, sample, budget, seed):
-        examined += 1
-        if k is None:
-            non_nilpotent += 1
-            if first_bad is None:
-                first_bad = quad
-        else:
-            if k > minimal_m:
-                minimal_m = k
-                m_witness = quad
-            if k > bound and over_mmax is None:
-                over_mmax = quad
+    for quad_at, row in _draws(mode, rows, sample, budget, seed):
+        examined += row.size
+        non_nilpotent += row.non_nilpotent
+        if first_bad is None and row.first_bad is not None:
+            first_bad = quad_at(row.first_bad)
+        if row.top is not None and row.top > minimal_m:
+            minimal_m = row.top
+            m_witness = quad_at(row.top_u)
+        if over_mmax is None and row.first_over is not None:
+            over_mmax = quad_at(row.first_over)
     details.update(non_nilpotent=non_nilpotent, minimal_m_nilpotent=minimal_m, m_max=bound)
     # the two report shapes stay as they were: a random survey names its
     # sample count and no index witness
@@ -653,11 +718,12 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
         raise PreconditionError("d must be >= 1")
     n = algebra.n
     skipped = 0
+    ops = _value_ops(algebra.zero())
 
     def probe(a, b):
         nonlocal skipped
         ab = a.mul(b)
-        if _nil_index(_value_ops(ab), ab, n) is None:
+        if _nil_index(ops, ab, n) is None:
             skipped += 1
             return None, 1
         return (None if ab.power(2 * d).is_zero() else {"a": a, "b": b, "ab": ab}), 1

@@ -7,7 +7,6 @@ order is part of the contract: "first counterexample" stays the same
 artifact across runs and across worker counts, so reports can be diffed.
 """
 
-import ast
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
@@ -180,6 +179,8 @@ def matrix_unit(ring, n, i, j):
 
 def parse_matrix(ring, text):
     """Read the literal syntax [[0,1],[0,0]]."""
+    import ast  # only here, so that importing the package skips it
+
     try:
         data = ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
@@ -297,11 +298,13 @@ class Algebra:
         p = self.ring.p
         pos = self.positions()
         n = self.n
+        zero = self.ring.zero
         for vals in itertools.product(range(p), repeat=len(pos)):
-            rows = [[0] * n for _ in range(n)]
+            rows = [[zero] * n for _ in range(n)]
             for (i, j), v in zip(pos, vals):
                 rows[i][j] = v
-            yield Matrix(self.ring, rows)
+            # residues in [0, p) are already reduced
+            yield Matrix._trusted(self.ring, tuple(map(tuple, rows)))
 
     def inverse(self, m):
         """The inverse of m when m is a unit of this algebra, else None."""
@@ -324,12 +327,13 @@ class Algebra:
         rows = [[self.ring.zero] * n for _ in range(n)]
         for i, j in pos:
             rows[i][j] = self._random_scalar(rng)
-        return Matrix(self.ring, rows)
+        return Matrix._trusted(self.ring, tuple(map(tuple, rows)))
 
     def _random_scalar(self, rng):
+        """A random scalar of the ring, already reduced."""
         if isinstance(self.ring, PrimeField):
             return rng.randrange(self.ring.p)
-        return rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND)
+        return self.ring.from_int(rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND))
 
     def sample_unit(self, rng, retries=256):
         return self.sample_unit_with_inverse(rng, retries)[0]
@@ -365,7 +369,8 @@ class Algebra:
                 if k != i:
                     acc = R.add(acc, R.mul(w[k], v[k]))
             w[i] = R.neg(R.mul(acc, R.inv(v[i])))
-            m = Matrix(R, [[R.mul(v[r], w[c]) for c in range(n)] for r in range(n)])
+            m = Matrix._trusted(R, tuple(tuple(R.mul(v[r], w[c]) for c in range(n))
+                                         for r in range(n)))
             if not m.mul(m).is_zero():
                 raise PreconditionError("square-zero construction failed")
             return m
@@ -374,7 +379,7 @@ class Algebra:
             for i, j in self.positions():
                 if j > i:
                     rows[i][j] = self._random_scalar(rng)
-            m = Matrix(R, rows)
+            m = Matrix._trusted(R, tuple(map(tuple, rows)))
             if m.mul(m).is_zero():
                 return m
         raise PreconditionError(f"no square-zero element found in {retries} draws")
@@ -400,7 +405,7 @@ class Algebra:
                 col = [R.add(x, R.mul(c, v)) for x, v in zip(col, vec)]
             for i, x in zip(free, col):
                 rows[i][j] = x
-        return Matrix(R, rows)
+        return Matrix._trusted(R, tuple(map(tuple, rows)))
 
 
 def parse_algebra(text):

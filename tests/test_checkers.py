@@ -719,6 +719,75 @@ def test_nilbound_random_mode():
     assert v.details["minimal_m_nilpotent"] <= 2
 
 
+def _nil_survey_per_quadruple(algebra, m_max):
+    """The exhaustive nil survey one quadruple at a time, classifying every
+    product bac*u on its own: (outcome, evaluations, details, witness)."""
+    n = algebra.n
+    bound = n if m_max is None else min(m_max, n)
+    tb = checkers._Tables(algebra)
+    MUL, E = tb.mul, tb.elements
+    sq0 = [i for i in range(tb.n) if MUL[i][i] == tb.zero]
+    pairs = [(b, c) for b in range(tb.n) for c in range(tb.n) if MUL[b][c] == tb.zero]
+    examined = non_nilpotent = 0
+    minimal_m = 1
+    first_bad = over_mmax = m_witness = None
+    for a in sq0:
+        for b, c in pairs:
+            bac = MUL[MUL[b][a]][c]
+            for u in range(tb.n):
+                v = MUL[bac][u]
+                quad = (E[a], E[b], E[c], E[u], E[v])
+                k = checkers._nil_index(tb, v, n)
+                examined += 1
+                if k is None:
+                    non_nilpotent += 1
+                    if first_bad is None:
+                        first_bad = quad
+                else:
+                    if k > minimal_m:
+                        minimal_m = k
+                        m_witness = quad
+                    if k > bound and over_mmax is None:
+                        over_mmax = quad
+    details = {"square_zero": len(sq0), "annihilating_pairs": len(pairs),
+               "non_nilpotent": non_nilpotent, "minimal_m_nilpotent": minimal_m,
+               "m_max": bound, "quadruples": examined}
+    if m_witness is not None:
+        details["index_witness"] = checkers._quad_witness(m_witness)
+    witness = first_bad if first_bad is not None else over_mmax
+    if witness is None:
+        return "holds", examined, details, None
+    return "counterexample", examined, details, checkers._quad_witness(witness)
+
+
+NIL_ROW_CASES = [(descriptor, m_max)
+                 for descriptor in ("M2@Fp:2", "M2@Fp:3", "T2@Fp:2", "T2@Fp:3", "T2@Fp:5",
+                                    "T3@Fp:2", "D2@Fp:5", "D2@Fp:7")
+                 for m_max in (None, 1, 2)]
+
+
+@pytest.mark.parametrize("descriptor, m_max", NIL_ROW_CASES)
+def test_nil_search_by_rows_is_the_per_quadruple_survey(descriptor, m_max):
+    # the search surveys each distinct row bac once and folds the surveys;
+    # every count, the index witness and the witness must be those of the
+    # survey that classifies each quadruple in canonical order
+    algebra = parse_algebra(descriptor)
+    v = nil_exponent_search(algebra, m_max=m_max)
+    assert (v.outcome, v.evaluations, v.details, v.witness) == _nil_survey_per_quadruple(
+        algebra, m_max)
+
+
+def test_exhaustive_nil_search_classifies_each_element_once(monkeypatch):
+    # T3@Fp:2 has 64 elements and 242,688 quadruples, which fall into 6 rows
+    calls = []
+    nil_index = checkers._nil_index
+    monkeypatch.setattr(checkers, "_nil_index",
+                        lambda *args: calls.append(args) or nil_index(*args))
+    v = nil_exponent_search(T3F2)
+    assert v.holds() and v.evaluations == 242688
+    assert 0 < len(calls) <= 64
+
+
 def test_square_zero_nilpotency():
     v = square_zero_nilpotency(M2F2, 1)
     assert v.holds()
@@ -849,6 +918,21 @@ def test_verdict_timing_and_seed_fields():
     assert v.seed == 99
     assert v.mode == "random"
     assert isinstance(v.elapsed_ms, int)
+
+
+def test_verdict_is_a_plain_record():
+    v = checkers.Verdict(outcome="holds")
+    assert (v.witness, v.evaluations, v.mode, v.seed, v.elapsed_ms, v.details) == (
+        None, 0, "exhaustive", None, 0, {})
+    assert checkers.Verdict("holds").details is not v.details
+    assert v == checkers.Verdict("holds", None, 0, "exhaustive", None, 0, {})
+    assert v != checkers.Verdict("holds", evaluations=1) and v != "holds"
+    v.details = {"units": 6}
+    assert repr(v) == ("Verdict(outcome='holds', witness=None, evaluations=0, mode='exhaustive', "
+                       "seed=None, elapsed_ms=0, details={'units': 6})")
+    assert pickle.loads(pickle.dumps(v)) == v
+    with pytest.raises(TypeError):
+        hash(v)
 
 
 def _some_value(assignment):

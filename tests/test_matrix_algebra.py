@@ -381,3 +381,39 @@ def test_matrix_arithmetic_results_equal_their_revalidated_copies(algebra, rng, 
     for x in (a.add(b), -a, a - b, a - a, a.mul(b), a.scale(c), a.power(k)):
         assert Matrix(x.ring, x.entries) == x
         assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
+
+
+DRAW_ALGEBRAS = [Algebra(family, n, ring) for family in "MTD" for n in (1, 2, 3)
+                 for ring in (ZZ, QQ, f2, f3, PrimeField(5))]
+
+
+def _as_validated(algebra, m):
+    """Whether m is what the validating constructor makes of its entries,
+    with every entry of the ring's own type, and lies in the algebra."""
+    zero_type = type(algebra.ring.zero)
+    return (Matrix(m.ring, m.entries) == m and type(m.entries) is tuple
+            and all(type(row) is tuple for row in m.entries)
+            and all(type(x) is zero_type for row in m.entries for x in row)
+            and algebra.contains(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DRAW_ALGEBRAS), st.randoms(use_true_random=False))
+def test_drawn_matrices_equal_their_revalidated_copies(algebra, rng):
+    # the draws build their matrices with the trusted constructor
+    b = algebra.sample_element(rng)
+    a = algebra.sample_square_zero(rng)
+    assert _as_validated(algebra, b) and _as_validated(algebra, a)
+    assert a.mul(a).is_zero()
+    if algebra.ring.is_field:
+        c = algebra.sample_right_annihilator(b, rng)
+        assert _as_validated(algebra, c) and b.mul(c).is_zero()
+
+
+@pytest.mark.parametrize("descriptor", ["M1@Fp:7", "M2@Fp:2", "M2@Fp:3", "T2@Fp:5", "T3@Fp:2",
+                                        "D2@Fp:7", "D3@Fp:3"])
+def test_enumerated_matrices_equal_their_revalidated_copies(descriptor):
+    algebra = parse_algebra(descriptor)
+    elements = list(algebra.enumerate_elements())
+    assert len(set(elements)) == algebra.size()
+    assert all(_as_validated(algebra, m) for m in elements)

@@ -304,3 +304,14 @@ def test_parser_builds():
     args = parser.parse_args(["bounds", "--d", "2"])
     assert args.command == "bounds"
     assert args.d == 2
+
+
+def test_importing_the_cli_skips_dataclasses_inspect_and_ast():
+    # every request imports lpilab.textio; these modules would add to its
+    # start-up and none of them is needed there
+    code = ("import sys, lpilab.textio; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
