@@ -11,14 +11,14 @@ evaluator the search did not use reproduces the hit. The one rule is that
 search and confirmation never use the same evaluator:
 
 - every identity search runs one compiled program, built from the
-  element by `group_algebra._program`: on the index tables in exhaustive
-  mode, on matrices or quotient elements in random mode. `evaluate` and
-  `q_evaluate` run the same program through `LaurentElement.at`, and an
-  exhaustive hit takes its reported value from `evaluate`. All these hits
-  are confirmed by `_plain_eval`, a term-by-term fold with no tables, no
-  programs and no power or inverse caches. It must stay apart from the
-  programs: a defect in them would otherwise reproduce itself in the
-  confirmation;
+  element by `group_algebra._staged_program`: on the index tables in
+  exhaustive mode, on matrices or quotient elements in random mode.
+  `evaluate` and `q_evaluate` run the same program through
+  `LaurentElement.at`, and an exhaustive hit takes its reported value
+  from `evaluate`. All these hits are confirmed by `_plain_eval`, a
+  term-by-term fold with no tables, no programs and no power or inverse
+  caches. It must stay apart from the programs: a defect in them would
+  otherwise reproduce itself in the confirmation;
 - group identities w = 1 are the identity search of 1 - w over the units,
   so their hits are confirmed as the hits above are;
 - the nil searches recompute their witnesses with matrix products taken
@@ -55,7 +55,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded, PreconditionError, SolveError
 from .freegroup import Word
-from .group_algebra import (LaurentElement, _program, _value_ops, gi_to_lpi,
+from .group_algebra import (LaurentElement, _staged_program, _value_ops, gi_to_lpi,
                              standard_polynomial)
 from .matrix_algebra import (
     DEFAULT_CAP,
@@ -316,7 +316,7 @@ def _scan(tb, e, ground, outer_range):
     row from them by linearity, as _Tables builds its mul rows; otherwise
     it enters every position in turn. Both leaves count every position up
     to the hit, so the count does not depend on the leaf."""
-    nvars, enter, value = _program(tb, e)
+    nvars, enter, value = _staged_program(tb, e)
     ZERO = tb.zero
     if nvars == 0:
         # constant element: one trivial evaluation decides everything

@@ -8,15 +8,16 @@ orders words by the canonical word order, so equal elements print the same.
 This module also houses the identity-specific machinery: the admissibility
 restriction, the normalization substitution x_i -> x_i^k, profile bounds,
 diagonal specialization to one variable, standard polynomials, the
-zero-total-sum families built from them, and `_program`, which compiles an
-element into the one program that evaluates it on index tables, matrices
-and quotient elements alike: a staged program that evaluates each
-sub-polynomial as soon as the variables it reads are entered, or, for a
-standard polynomial evaluated on values, the subset DP.
+zero-total-sum families built from them, and `_staged_program`, the one
+compiler that turns an element into the program evaluating it on index
+tables, matrices and quotient elements alike, each sub-polynomial as soon
+as the variables it reads are entered. The index tables split each word
+at its first syllable of the deepest variable, for the fewest products at
+the scan leaf; matrices and quotient elements split it at its last
+syllable, for the fewest per full pass, the subset DP's on S_k.
 """
 
 import itertools
-import math
 import operator
 from collections import namedtuple
 from types import SimpleNamespace
@@ -108,7 +109,8 @@ class LaurentElement(FormalSum):
         zero_like. inverse(g, value) is asked once for each generator that
         appears with a negative exponent, in order of first appearance,
         and must return the inverse of value or raise. The value comes
-        from the program the table scans run.
+        from the compiler the table scans use, with the split that values
+        take.
         """
         values = assignment if isinstance(assignment, dict) else dict(enumerate(assignment, 1))
         if not values:
@@ -127,7 +129,7 @@ class LaurentElement(FormalSum):
         at a dict {generator: value}. Before a run the caller maps each
         value a generator with a negative exponent takes to its inverse."""
         ops = _value_ops(like)
-        _, enter, value = _program(ops, self)
+        _, enter, value = _staged_program(ops, self)
         variables = sorted(self.variables())
 
         def run(values):
@@ -348,22 +350,47 @@ def _value_ops(like):
         scalar_index=lambda c: SimpleNamespace(mul=lambda v: v.scale(c)))
 
 
-def _staged_program(ops, e):
-    """The program that evaluates e in stages, each sub-polynomial at the
-    shallowest scan depth that fixes its variables.
+def _staged_program(ops, e, last=None):
+    """Compile e into the program (nvars, enter, value) that evaluates it
+    over ops in stages, each sub-polynomial at the shallowest scan depth
+    that fixes its variables. enter(d, x) assigns x to e's d-th variable in
+    generator order, the variables being entered in that order, and
+    value() is e's value there. ops is the index tables of a finite
+    algebra, where x is an index and mul[a][b] a list lookup, or
+    _value_ops.
 
-    A sub-polynomial P with deepest variable v is Q + sum L * v^a * R:
-    Q holds P's v-free terms, each other word splits at its first v
-    syllable into u0 * v^a * u1, the terms are grouped by (a, u0) into a
-    right sum R, and the rows whose R agree up to a unit scalar s merge
-    into one row with left sum L = sum s * u0. Q and L have no v and R has
-    shorter words, so each is compiled the same way, once per distinct
-    sub-polynomial, into a node at the depth of its deepest variable.
+    A sub-polynomial P is Q + sum L * g^a * R. Each word of P splits at
+    one syllable g^a into u0 * g^a * u1, Q holds the words that do not
+    split, the terms are grouped by (g^a, u0) into a right sum R, and the
+    rows whose R agree up to a unit scalar s merge into one row with left
+    sum L = sum s * u0; a constant R is s times one for any s. Q, L and R
+    have shorter words, so each is compiled the same way, once per
+    distinct sub-polynomial, into a node at the depth of its deepest
+    variable. last chooses the syllable. It defaults to the kind of ops,
+    so every caller makes the same choice:
+
+    - the index tables split each word at its first syllable of P's
+      deepest variable v, and Q holds the v-free words. A scan enters
+      mostly the last variable, and this split leaves the leaf only the
+      rows of v: 2^k - 2 products on S_k, against 19 on S_4 for the
+      other split;
+    - values (_value_ops) split each word at its last syllable, so Q is
+      P's constant term and P = Q + sum L * g^a. Values are evaluated in
+      full passes (`evaluate`, random mode, quotient checks), and there
+      this split takes fewer products on all but small elements: 186
+      against 242 on S_6, 196 against 407 on al_f1(3), though 21 against
+      13 on the commutator square. On S_k each L is S_(k-1) on the other
+      variables up to sign, so the program is the subset DP, with its
+      k * 2^(k-1) - k products.
+
     enter(d, x) caches the powers of variable d that e uses, inverses
     included, each by square-and-multiply from its first factor, and then
     computes every node at depth d in creation order; value() reads the
     root. A scalar is applied as a negation or a scale, never as a
     product, and no product by the identity is ever taken."""
+    if last is None:
+        # _value_ops calls for its products, where the tables look them up
+        last = isinstance(ops.mul, _Calls)
     R = ops.ring
     variables = sorted(e.variables())
     depth_of = {g: d for d, g in enumerate(variables)}
@@ -392,19 +419,30 @@ def _staged_program(ops, e):
         return slot
 
     def scaled(P, s):
-        return {w: R.mul(s, c) for w, c in P.items()}
-
-    def normalized(P):
-        """(s, P / s) for s P's coefficient on its least word when that is
-        a unit, else (one, P): P and its unit multiples share P / s."""
-        s = P[min(P)]
-        if s == ONE or not R.is_unit(s):
-            return ONE, P
-        return s, scaled(P, R.inv(s))
+        return P if s == ONE else {w: R.mul(s, c) for w, c in P.items()}
 
     def constant(P):
         """P's scalar when P is a constant, else None."""
         return P.get(()) if len(P) == 1 else None
+
+    def normalized(P):
+        """(s, P / s) for s P's coefficient on its least word when that is
+        a unit, else (one, P): P and its unit multiples share P / s. A
+        constant s is s times one, unit or not."""
+        s = P[min(P)]
+        if s == ONE:
+            return ONE, P
+        if constant(P) is not None:
+            return s, {(): ONE}
+        if not R.is_unit(s):
+            return ONE, P
+        return s, scaled(P, R.inv(s))
+
+    def split_at(w, v):
+        """The index of the syllable w splits at, None when w goes to Q."""
+        if last:
+            return len(w) - 1 if w else None
+        return next((i for i, (g, _) in enumerate(w) if g == v), None)
 
     def node(P):
         """The slot of the nonzero sub-polynomial P, a dict {syllables: coeff}.
@@ -447,25 +485,25 @@ def _staged_program(ops, e):
         s, unit = normalized(P)
         if s != ONE:
             return scale_node((yield unit), s)
-        v = max(g for w in P for g, _ in w)
+        v = max(max(w)[0] for w in P if w)  # a syllable (g, a) sorts by g first
         Q, groups = {}, {}
         for w, c in P.items():
-            i = next((i for i, (g, _) in enumerate(w) if g == v), None)
+            i = split_at(w, v)
             if i is None:
                 Q[w] = c
             else:
-                groups.setdefault((w[i][1], w[:i]), {})[w[i + 1:]] = c
+                groups.setdefault((w[i], w[:i]), {})[w[i + 1:]] = c
         merged = {}
-        for (a, u0), right in groups.items():
+        for (syllable, u0), right in groups.items():
             s, right = normalized(right)
-            merged.setdefault((a, frozenset(right.items())), (right, {}))[1][u0] = s
+            merged.setdefault((syllable, frozenset(right.items())), (right, {}))[1][u0] = s
         rows = []
-        for (a, _), (right, left) in merged.items():
-            # a scalar side goes onto the other side, or onto v^a alone
+        for (syllable, _), (right, left) in merged.items():
+            # a scalar side goes onto the other side, or onto g^a alone
             cl, cr = constant(left), constant(right)
-            power = yield {((v, a),): ONE}
+            power = yield {(syllable,): ONE}
             if cl is not None and cr is not None:
-                rows.append((None, (yield {((v, a),): R.mul(cl, cr)}), None))
+                rows.append((None, (yield {(syllable,): R.mul(cl, cr)}), None))
             elif cr is not None:
                 rows.append(((yield scaled(left, cr)), power, None))
             elif cl is not None:
@@ -508,60 +546,3 @@ def _staged_program(ops, e):
             V[out] = acc
 
     return len(variables), enter, lambda: V[root]
-
-
-def _standard_program(ops, k):
-    """The S_k subset DP. D[mask] is the standard polynomial on the
-    variables in mask: a single variable is itself, and a larger mask has
-    S(mask) = sum over its t-th variable j of (-1)**(|mask| - t)
-    S(mask - j) x_j. Entering variable d sets its own mask and recomputes
-    the larger masks whose highest variable is d, smaller masks first,
-    which cuts the work well below evaluating k! words."""
-    steps = [[] for _ in range(k)]
-    for mask in sorted(range(1, 1 << k), key=lambda m: bin(m).count("1")):
-        elems = [j for j in range(k) if mask >> j & 1]
-        m = len(elems)
-        if m > 1:
-            steps[elems[-1]].append((mask, [(mask ^ (1 << j), 1 << j, (m - t) % 2 == 1)
-                                            for t, j in enumerate(elems, start=1)]))
-    MUL, ADD, NEG = ops.mul, ops.add, ops.neg
-    D = [None] * (1 << k)
-
-    def enter(d, idx):
-        D[1 << d] = idx
-        for mask, sums in steps[d]:
-            acc = None
-            for sub, bit, flip in sums:
-                v = MUL[D[sub]][D[bit]]
-                if flip:
-                    v = NEG[v]
-                acc = v if acc is None else ADD[acc][v]
-            D[mask] = acc
-
-    full = (1 << k) - 1
-    return k, enter, lambda: D[full]
-
-
-def _program(ops, e):
-    """Compile e into the program (nvars, enter, value) that evaluates it
-    over ops. enter(d, x) assigns x to e's d-th variable in generator
-    order, the variables being entered in that order, and value() is e's
-    value there. ops is the index tables of a finite algebra, where x is
-    an index and mul[a][b] a list lookup, or _value_ops. Over _value_ops
-    the program is the subset DP when e's image in the ops' ring is S_k on
-    x1..xk, else the staged program; the choice depends on e, the ring and
-    the kind of ops alone, so every caller makes the same one. The DP
-    serves values because they are evaluated in full passes (`evaluate`,
-    random mode, quotient checks), where it is cheaper: on S_6 it takes
-    186 products where the staged program takes 242. The table scans
-    enter mostly the last variable, where the staged program takes fewer
-    (14 against 19 on S_4), so the tables always run the staged program."""
-    R = ops.ring
-    variables = sorted(e.variables())
-    k = len(variables)
-    # _value_ops calls for its products, where the tables look them up
-    if isinstance(ops.mul, _Calls) and 0 < k <= STANDARD_CAP and variables[-1] == k:
-        image = e.map_ring(R, embed_into(e.ring, R))
-        if len(image.terms) == math.factorial(k) and image == standard_polynomial(k, R):
-            return _standard_program(ops, k)
-    return _staged_program(ops, e)

@@ -210,23 +210,57 @@ def _refuse(monkeypatch, program):
     monkeypatch.setattr(group_algebra, program, refused)
 
 
+def _standard_program(ops, k):
+    """The S_k subset DP, the reference the last-syllable split must match.
+    D[mask] is the standard polynomial on the variables in mask: a single
+    variable is itself, and a larger mask has S(mask) = sum over its t-th
+    variable j of (-1)**(|mask| - t) S(mask - j) x_j. Entering variable d
+    sets its own mask and recomputes the larger masks whose highest
+    variable is d, smaller masks first."""
+    steps = [[] for _ in range(k)]
+    for mask in sorted(range(1, 1 << k), key=lambda m: bin(m).count("1")):
+        elems = [j for j in range(k) if mask >> j & 1]
+        m = len(elems)
+        if m > 1:
+            steps[elems[-1]].append((mask, [(mask ^ (1 << j), 1 << j, (m - t) % 2 == 1)
+                                            for t, j in enumerate(elems, start=1)]))
+    MUL, ADD, NEG = ops.mul, ops.add, ops.neg
+    D = [None] * (1 << k)
+
+    def enter(d, idx):
+        D[1 << d] = idx
+        for mask, sums in steps[d]:
+            acc = None
+            for sub, bit, flip in sums:
+                v = MUL[D[sub]][D[bit]]
+                if flip:
+                    v = NEG[v]
+                acc = v if acc is None else ADD[acc][v]
+            D[mask] = acc
+
+    full = (1 << k) - 1
+    return k, enter, lambda: D[full]
+
+
 @pytest.mark.parametrize("k, descriptor", [
     (k, d) for k in (2, 3) for d in ("M2@Fp:2", "M2@Fp:3", "T2@Fp:3", "T3@Fp:2", "D2@Fp:3")
 ] + [(4, "M2@Fp:2"), (4, "D2@Fp:3")])
 def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
     tb = checkers._Tables(parse_algebra(descriptor))
     ground = list(range(tb.n))
-    # the staged program, which the tables run for every element
-    standard, staged = group_algebra._standard_program, group_algebra._staged_program
+    staged = group_algebra._staged_program
+    programs = (lambda tb, e: _standard_program(tb, k),
+                staged,  # the leaf split, which the tables take
+                lambda tb, e: staged(tb, e, last=True))
     half = round(tb.n / 2)
     # the whole scan, then split at the first variable as two workers split it
     for ranges in ([range(tb.n)], [range(half), range(half, tb.n)]):
         results = []
-        for program in (lambda tb, e: standard(tb, k), staged):
-            monkeypatch.setattr(checkers, "_program", program)
+        for program in programs:
+            monkeypatch.setattr(checkers, "_staged_program", program)
             results.append([checkers._scan(tb, standard_polynomial(k), ground, r)
                             for r in ranges])
-        assert results[0] == results[1], ranges
+        assert results[0] == results[1] == results[2], ranges
 
 
 # every enumerable family and p = 2, 3, 5, 7, as in the table tests
@@ -245,7 +279,7 @@ def _ground(tb, kind):
 def _per_tuple_sweep(tb, e, ground, outer_range):
     """What _scan must return, from a sweep that enters every variable at
     every tuple and reads each tuple's value on its own."""
-    nvars, enter, value = group_algebra._program(tb, e)
+    nvars, enter, value = group_algebra._staged_program(tb, e)
     if nvars == 0:
         return (() if value() != tb.zero else None), 1
     count = 0
@@ -408,48 +442,73 @@ def _leaf_products(tb, e, program):
     return counted.products
 
 
+def _full_pass_counts(e, like, program):
+    """The products, sums and negations that one full pass of e's program
+    over values of the kind of like takes, every variable set to like."""
+    counts = {"mul": 0, "add": 0, "neg": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    ops = group_algebra._value_ops(like)
+    ops.mul = _Calls(lambda a: _Calls(counted("mul", a.mul)))
+    ops.add = _Calls(lambda a: _Calls(counted("add", a.add)))
+    ops.neg = _Calls(counted("neg", lambda a: -a))
+    nvars, enter, value = program(ops, e)
+    for d in range(nvars):
+        enter(d, like)
+    value()
+    return counts
+
+
 def test_staged_program_takes_its_products_above_the_leaf():
     tb = checkers._Tables(parse_algebra("M2@Fp:3"))
     square = parse_element("(x1*x2-x2*x1)^2*x3-x3*(x1*x2-x2*x1)^2")
     # A = [x1, x2]^2 is computed once per (x1, x2), so the leaf takes only
     # A*x3 and x3*A
-    assert _leaf_products(tb, square, group_algebra._program) <= 2
-    # on S_k it takes fewer leaf products than the subset DP, which keeps
-    # S_k on values for its cheaper full pass
+    assert _leaf_products(tb, square, group_algebra._staged_program) <= 2
+    # on S_k the tables' split takes fewer leaf products than the subset DP,
+    # which the last-syllable split reproduces and values take for its
+    # cheaper full pass
+    last = functools.partial(group_algebra._staged_program, last=True)
     for k, dp in zip(range(2, 7), (2, 7, 19, 47, 111)):
         s = standard_polynomial(k)
         assert _leaf_products(tb, s, group_algebra._staged_program) == 2**k - 2
-        assert _leaf_products(tb, s, lambda ops, e: group_algebra._standard_program(ops, k)) == dp
+        assert _leaf_products(tb, s, lambda ops, e: _standard_program(ops, k)) == dp
+        assert _leaf_products(tb, s, last) == dp
 
 
-def test_program_is_chosen_on_the_image_in_the_algebra_ring(monkeypatch):
-    # S_3 with the sign of x3*x2*x1 flipped: S_3 again mod 2, not mod 3
-    flipped = parse_element("S(3) + 2*x3*x2*x1")
-    assert flipped.coefficient(Word(((3, 1), (2, 1), (1, 1)))) == 1
-    with monkeypatch.context() as m:
-        _refuse(m, "_standard_program")
-        ops = group_algebra._value_ops(parse_algebra("M2@Fp:3").identity())
-        assert group_algebra._program(ops, flipped)[0] == 3
-    _refuse(monkeypatch, "_staged_program")
-    assert group_algebra._program(group_algebra._value_ops(M2F2.identity()), flipped)[0] == 3
-    v = check_lpi(M2F2, flipped, mode="random", budget=200, seed=5)
-    assert v.outcome == "counterexample" and v.evaluations == 5
+def test_values_take_the_subset_dp_products_on_standard_polynomials():
+    like = parse_algebra("M2@Fp:3").identity()
+    for k in range(2, 9):
+        s = standard_polynomial(k)
+        values = _full_pass_counts(s, like, group_algebra._staged_program)
+        dp = _full_pass_counts(s, like, lambda ops, e: _standard_program(ops, k))
+        assert values["mul"] == dp["mul"] == k * 2**(k - 1) - k, k
+        assert values["add"] == dp["add"] and values["neg"] <= dp["neg"], k
 
 
-def test_standard_identities_run_the_subset_dp(monkeypatch):
+def test_values_take_the_last_syllable_split_and_tables_the_leaf_split():
     s4 = standard_polynomial(4)
     tb = checkers._Tables(T3F2)
-    # the tables run the staged program: a scan enters mostly the last
-    # variable, where it takes fewer products than the DP
-    with monkeypatch.context() as m:
-        _refuse(m, "_standard_program")
-        hit, count = checkers._scan(tb, s4, list(range(tb.n)), range(tb.n))
-        assert count == 270609
-        v = al_verify(2, 2, workers=2)
-        assert v.holds() and v.evaluations == 65536
-    # values run the DP: evaluate, which gives an exhaustive hit its value,
-    # and random mode
-    _refuse(monkeypatch, "_staged_program")
+    # the kind of ops chooses the split: on S_4 the leaf split takes 14
+    # products at the scan leaf and 26 a full pass, the last-syllable split
+    # 19 and 28
+    programs = [functools.partial(group_algebra._staged_program, **split)
+                for split in ({}, {"last": False}, {"last": True})]
+    assert [_leaf_products(tb, s4, program) for program in programs] == [14, 14, 19]
+    assert [_full_pass_counts(s4, T3F2.identity(), program)["mul"]
+            for program in programs] == [28, 26, 28]
+    # the tables: a scan, and two workers
+    hit, count = checkers._scan(tb, s4, list(range(tb.n)), range(tb.n))
+    assert count == 270609
+    v = al_verify(2, 2, workers=2)
+    assert v.holds() and v.evaluations == 65536
+    # values: evaluate, which gives an exhaustive hit its value, and random
+    # mode
     assignment = dict(enumerate((tb.elements[i] for i in hit), 1))
     value = evaluate(s4, assignment)
     assert not value.is_zero() and value == checkers._plain_eval(s4, assignment)
@@ -457,6 +516,20 @@ def test_standard_identities_run_the_subset_dp(monkeypatch):
     assert v.outcome == "counterexample" and v.evaluations == 5
     v = al_verify(2, 2, mode="random", budget=50, seed=1)
     assert v.holds() and v.evaluations == 50
+    # S_3 with the sign of x3*x2*x1 flipped: S_3 again mod 2, where it fails
+    flipped = parse_element("S(3) + 2*x3*x2*x1")
+    assert flipped.coefficient(Word(((3, 1), (2, 1), (1, 1)))) == 1
+    v = check_lpi(M2F2, flipped, mode="random", budget=200, seed=5)
+    assert v.outcome == "counterexample" and v.evaluations == 5
+
+
+def test_compiling_values_never_builds_a_standard_polynomial(monkeypatch):
+    s4 = standard_polynomial(4)
+    # S_4 vanishes on M_2, here at the four matrix units
+    assignment = dict(enumerate((matrix_unit(f2, 2, i, j) for i in (1, 2) for j in (1, 2)), 1))
+    monkeypatch.setattr(group_algebra, "standard_polynomial", lambda *args: pytest.fail(
+        "standard_polynomial was built"))
+    assert evaluate(s4, assignment).is_zero()
 
 
 def test_workers_rebuild_the_element_over_its_own_ring():
@@ -944,9 +1017,9 @@ def _zero_value(e, assignment):
     return _some_value(assignment).zero_like()
 
 
-def _one_program(ops, nvars):
+def _one_program(ops, e):
     """A program that reports the identity, a nonzero value, everywhere."""
-    return nvars, lambda d, idx: None, lambda: ops.one
+    return len(e.variables()), lambda d, idx: None, lambda: ops.one
 
 
 S3 = standard_polynomial(3)
@@ -966,19 +1039,17 @@ GATE_CASES = [
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
     ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
      lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
-    # the tables' program for S_k, and the DP on values, report a nonzero
+    # the program for S_k, on the tables or on values, reports a nonzero
     # value at the first tuple or sample
-    ("al_verify/exhaustive", "group_algebra._staged_program",
-     lambda ops, e: _one_program(ops, len(e.variables())), lambda: al_verify(1, 2)),
-    ("al_verify/random", "group_algebra._standard_program", _one_program,
+    ("al_verify/exhaustive", "_staged_program", _one_program, lambda: al_verify(1, 2)),
+    ("al_verify/random", "group_algebra._staged_program", _one_program,
      lambda: al_verify(1, 2, mode="random", budget=5, seed=1)),
     ("check_group_identity/exhaustive", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2))),
     ("check_group_identity/random", "_plain_eval", _zero_value,
      lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=400, seed=3)),
     # x1^6 = 1 on GL_2(F_2); the staged program reports 1 - x1^6 as 1 at once
-    ("check_group_identity/exhaustive/false-hit", "group_algebra._staged_program",
-     lambda ops, e: _one_program(ops, len(e.variables())),
+    ("check_group_identity/exhaustive/false-hit", "_staged_program", _one_program,
      lambda: check_group_identity(M2F2, Word.gen(1, 6))),
     ("nil_exponent_search/exhaustive", "_reverify_quad", lambda w, power: False,
      lambda: nil_exponent_search(M2F2)),
@@ -989,7 +1060,7 @@ GATE_CASES = [
     ("nil_exponent_search/random/m_max", "_reverify_quad", lambda w, power: False,
      lambda: nil_exponent_search(T3F2, m_max=1, mode="random", budget=100, seed=1)),
     ("quotient_pi_check/n=1", "_plain_eval", _zero_value, lambda: quotient_pi_check(1)),
-    ("quotient_pi_check/random", "group_algebra._standard_program", _one_program,
+    ("quotient_pi_check/random", "group_algebra._staged_program", _one_program,
      lambda: quotient_pi_check(2, samples=5, seed=3)),
 ]
 

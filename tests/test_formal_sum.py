@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lpilab.checkers import _Tables, _plain_eval
 from lpilab.errors import PreconditionError, RingMismatch
 from lpilab.freegroup import IDENTITY, Word
-from lpilab import group_algebra
+from lpilab import checkers, group_algebra
 from lpilab.group_algebra import LaurentElement, OneVarLaurent, standard_polynomial
 from lpilab.matrix_algebra import Matrix, evaluate, mat_inverse, parse_algebra
 from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
@@ -138,8 +138,8 @@ def shifted(e, by):
     ])
 
 
-# S_2..S_5 run the subset DP; S_3 on x2, x3, x4 is not S_3 on x1..x3, so it
-# runs the staged program
+# S_2..S_5, on which the last-syllable split that values take is the subset
+# DP, and S_3 on x2, x3, x4
 STANDARD_INPUTS = [standard_polynomial(k) for k in (2, 3, 4, 5)] + [
     shifted(standard_polynomial(3), 1)]
 
@@ -216,18 +216,32 @@ def test_plain_eval_stays_apart_from_the_fold(monkeypatch):
     q_expected = q_evaluate(s4, qargs)
     monkeypatch.setattr(LaurentElement, "at", refused)
     monkeypatch.setattr(LaurentElement, "compiled", refused)
-    for name in ("_program", "_staged_program", "_standard_program"):
-        monkeypatch.setattr(group_algebra, name, refused)
+    monkeypatch.setattr(group_algebra, "_staged_program", refused)
+    monkeypatch.setattr(checkers, "_staged_program", refused)
     assert _plain_eval(e, mats) == expected
     assert _plain_eval(s4, qargs) == q_expected
 
 
-def run_program(ops, e, values):
-    """e's compiled program over ops, entered at values in generator order."""
-    nvars, enter, value = group_algebra._program(ops, e)
-    for d, x in enumerate(values):
-        enter(d, x)
-    return value()
+# both splits on both kinds of ops, so that neither is tested only on the
+# ops it serves
+SPLITS = (False, True)
+
+
+def compiled_program(ops, e, last=None):
+    """e's program over ops, with the split last chooses, as run(values):
+    the value with the variables entered at values in generator order."""
+    nvars, enter, value = group_algebra._staged_program(ops, e, last)
+
+    def run(values):
+        for d, x in enumerate(values):
+            enter(d, x)
+        return value()
+
+    return run
+
+
+def run_program(ops, e, values, last=None):
+    return compiled_program(ops, e, last)(values)
 
 
 TABLE_CASES = {d: _Tables(parse_algebra(d))
@@ -243,9 +257,9 @@ def test_compiled_value_on_the_tables_is_the_plain_value(descriptor, rng):
     variables = sorted(e.variables()) or [1]
     for _ in range(4):
         tup = [rng.choice(ground) for _ in variables]
-        value = run_program(tb, e, tup[:len(e.variables())])
         plain = _plain_eval(e, {g: tb.elements[i] for g, i in zip(variables, tup)})
-        assert tb.elements[value] == plain
+        for last in SPLITS:
+            assert tb.elements[run_program(tb, e, tup[:len(e.variables())], last)] == plain
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,8 +270,9 @@ def test_compiled_value_on_matrices_and_quotient_elements_is_the_plain_value(rng
     mats = {g: zz_unit(rng) for g in variables}
     ops = group_algebra._value_ops(mats[variables[0]])
     ops.inverse.update({m: mat_inverse(m) for m in mats.values()})
-    assert run_program(ops, e, [mats[g] for g in sorted(e.variables())]) == \
-        _plain_eval(e, mats)
+    plain = _plain_eval(e, mats)
+    for last in SPLITS:
+        assert run_program(ops, e, [mats[g] for g in sorted(e.variables())], last) == plain
     # _plain_eval inverts no quotient element: each inverse is the certified
     # inverse of a q_unit, assigned to a fresh variable
     units = {g: q_unit(ZZ, [(rng.randint(-2, 2), rng.choice("xy"))
@@ -266,8 +281,10 @@ def test_compiled_value_on_matrices_and_quotient_elements_is_the_plain_value(rng
     ops.inverse.update({u.value: u.inverse for u in units.values()})
     plain = {g: u.value for g, u in units.items()}
     plain.update({g + 3: u.inverse for g, u in units.items()})
-    assert run_program(ops, e, [units[g].value for g in sorted(e.variables())]) == \
-        _plain_eval(rename_inverses(e, 3), plain)
+    plain = _plain_eval(rename_inverses(e, 3), plain)
+    for last in SPLITS:
+        assert run_program(ops, e, [units[g].value for g in sorted(e.variables())], last) == \
+            plain
 
 
 def test_words_longer_than_the_recursion_limit_compile():
@@ -279,15 +296,17 @@ def test_words_longer_than_the_recursion_limit_compile():
     x3 = Word.gen(3)
     e = LaurentElement(ZZ, [(zigzag * x3 * Word(((2, 1), (1, 1)) * 1500), 1),
                             (x3 * zigzag, -1), (zigzag, 2)])
+    ops = group_algebra._value_ops(tb.elements[0])
+    runs = [(compiled_program(tb, e, last), compiled_program(ops, e, last)) for last in SPLITS]
     rng = random.Random(12)
     for _ in range(3):
         tup = [rng.choice(tb.units) for _ in range(3)]
         mats = {g: tb.elements[i] for g, i in zip((1, 2, 3), tup)}
         plain = _plain_eval(e, mats)
-        assert tb.elements[run_program(tb, e, tup)] == plain
-        ops = group_algebra._value_ops(mats[1])
         ops.inverse.update({m: mat_inverse(m) for m in mats.values()})
-        assert run_program(ops, e, [mats[g] for g in (1, 2, 3)]) == plain
+        for on_tables, on_values in runs:
+            assert tb.elements[on_tables(tup)] == plain
+            assert on_values([mats[g] for g in (1, 2, 3)]) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ the two S_k scans (`check_lpi_s4_t3f2`, `al_verify_n2f2_workers2`)
 from the commit before one sweep took over both scan kernels, and the four
 `check_gi_*` cases other than `check_gi_commutator_m2f2` from the commit
 before check-gi became the identity search of 1 - w on the tables, and
-the five random check-lpi and al-verify cases (`*_random` other than
-`check_gi_*`) from the commit before random mode ran compiled programs on
-matrices, and `nilbound_m2f3_random` from the commit before every
-family drew its right annihilators from kernels of b, so a change to the
-internals that alters any report text shows up here.
+the five random check-lpi and al-verify cases on M2, T2 and AL(2)
+from the commit before random mode ran compiled programs on
+matrices, `nilbound_m2f3_random` from the commit before every
+family drew its right annihilators from kernels of b, and the two random
+S_k cases on M3 (`check_lpi_s6_m3zz_random`, `check_lpi_s5_m3f2_random`)
+from the commit before values took the last-syllable split in place of
+the subset DP, so a change to the internals that alters any report text
+shows up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -48,7 +51,7 @@ CASES = {
     "check_lpi_comm_t2f7": (["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "T2@Fp:7"], 1),
     "check_lpi_x17_d2f17_workers2": (
         ["check-lpi", "--expr", "x1^17-x1", "--algebra", "D2@Fp:17", "--workers", "2"], 0),
-    # S_k scans, which take the subset DP
+    # S_k scans, which run the tables' staged program
     "check_lpi_s4_t3f2": (["check-lpi", "--expr", "S(4)", "--algebra", "T3@Fp:2"], 1),
     "al_verify_n2f2_workers2": (["al-verify", "--n", "2", "--field", "Fp:2", "--workers", "2"], 0),
     # check-gi: a positive word on the units, the benchmark's request, and
@@ -79,6 +82,14 @@ CASES = {
     "al_verify_n2f3_random": (
         ["al-verify", "--n", "2", "--field", "Fp:3", "--mode", "random", "--seed", "1",
          "--budget", "5"], 0),
+    # random S_k on values: S_6 holds on M3 over ZZ, and S_5 on M3 over F_2
+    # hits at the first evaluation, whose value the values program gives
+    "check_lpi_s6_m3zz_random": (
+        ["check-lpi", "--expr", "S(6)", "--algebra", "M3@ZZ", "--mode", "random", "--seed", "1",
+         "--budget", "3"], 0),
+    "check_lpi_s5_m3f2_random": (
+        ["check-lpi", "--expr", "S(5)", "--algebra", "M3@Fp:2", "--mode", "random", "--seed",
+         "1", "--budget", "20"], 1),
     # random nilbound on the full algebra, whose c is drawn from ker(b)
     "nilbound_m2f3_random": (
         ["nilbound", "--algebra", "M2@Fp:3", "--mode", "random", "--seed", "4", "--budget",
