@@ -29,8 +29,13 @@ element enumeration and report the first violation, which makes verdicts
 reproducible and independent of how the work is partitioned: with several
 workers each contiguous chunk of the first variable reports its earliest
 hit, and evaluations are counted only up to the first chunk with a hit.
-Workers run the parent's own tables and element, which reach them pickled,
-so no worker builds anything and every start method runs the same path.
+The parent forks one child per chunk but the first and scans the first
+chunk itself. A forked child reads the parent's tables and element as
+they are, so nothing is built or pickled again; it sends back only its
+hit and count, marshalled through a pipe. The parent reads the chunks in
+order and stops at the first hit, and it kills and reaps every child it
+has not read, so no process outlives the scan. Without os.fork the scan
+runs in one process, which gives the same verdict.
 One sweep, `_scan`, owns that order for every element. At each tuple it
 computes the element's value exactly, by the element's staged program,
 which computes each sub-polynomial once per tuple of the variables it
@@ -48,12 +53,13 @@ in canonical order, so the row changes neither witness nor count.
 
 import functools
 import itertools
+import marshal
 import os
 import random
 import time
 from collections import namedtuple
 
-from .errors import CapExceeded, PreconditionError, SolveError
+from .errors import CapExceeded, LpiLabError, PreconditionError, SolveError
 from .freegroup import Word
 from .group_algebra import (LaurentElement, _staged_program, _value_ops, gi_to_lpi,
                              standard_polynomial)
@@ -245,8 +251,10 @@ class _Tables:
     nonzero entry is a 1 in free position L - 1 - t. Sums are digit-wise
     additions mod p, so a row of `add` follows from bumping one digit at a
     time. b -> a*b is linear, so a row of `mul` needs only the L products
-    a*e_t: a*b = a*(b - p**t) + a*e_t. Building the tables therefore costs
-    N*L matrix products and O(N**2) list steps. `p` and the basis indices
+    a*e_t: a*b = a*(b - p**t) + a*e_t. a -> a*e_t is linear as well, so
+    the column of the products a*e_t over every a follows in the same way
+    from the L products e_s*e_t. Building the tables therefore costs L**2
+    matrix products and O(N**2) list steps. `p` and the basis indices
     `weights` stay, so that `_scan` builds the rows of an affine element by
     the same recurrence. `neg` is read off `add`, and `inverse` off `mul`:
     in a finite-dimensional algebra a one-sided inverse is two-sided, so a
@@ -274,10 +282,11 @@ class _Tables:
         self.add = [_linear_row(ids[a], bumps, p) for a in ids]
         basis = [self.elements[w] for w in weights]
         self.zero = ids[0]
-        self.mul = [
-            _linear_row(self.zero, [self.add[self.index[a.mul(e)]] for e in basis], p)
-            for a in self.elements
-        ]
+        # columns[t][a] = a*e_t, from the products of the basis
+        columns = [_linear_row(self.zero, [self.add[self.index[s.mul(t)]] for s in basis], p)
+                   for t in basis]
+        self.mul = [_linear_row(self.zero, [self.add[col[a]] for col in columns], p)
+                    for a in ids]
         self.neg = [ids[row.index(self.zero)] for row in self.add]
         self.one = self.index[algebra.identity()]
         self.inverse = [ids[row.index(self.one)] if self.one in row else None
@@ -373,12 +382,80 @@ def _scan(tb, e, ground, outer_range):
     return (tuple(assign) if rec(0, outer_range) else None), evaluations
 
 
+def _scan_in_child(scan, outer_range, write_end):
+    """The whole life of a forked child: scan the range and write
+    marshal.dumps((True, (hit, count))), or (False, "Type: message") when
+    the scan raised, to the pipe. It leaves through os._exit, so it never
+    returns into the parent's code, runs none of its exit handlers and
+    flushes none of its buffers."""
+    status = 1
+    try:
+        try:
+            result = True, scan(outer_range)
+        except Exception as exc:  # handed to the parent, which raises it
+            result = False, f"{type(exc).__name__}: {exc}"
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_scans(scan, ranges):
+    """scan(r) for the ranges in order, up to and including the first
+    result with a hit. This process forks a child for every range but the
+    first and scans the first range itself. It then reads the children in
+    order and stops at the first hit; the children it has not reaped when
+    it returns or raises, whether at a hit, an error or an interrupt, are
+    killed and reaped. A child that raised, or died without a result,
+    raises LpiLabError here."""
+    children = []  # [pid or None, read end of its pipe], in range order
+    try:
+        for r in ranges[1:]:
+            read_end, write_end = os.pipe()
+            child = [None, open(read_end, "rb")]
+            children.append(child)
+            try:
+                child[0] = os.fork()
+                if child[0] == 0:
+                    _scan_in_child(scan, r, write_end)
+            finally:
+                os.close(write_end)
+        results = [scan(ranges[0])]
+        for child in children:
+            if results[-1][0] is not None:
+                break
+            pid, pipe = child
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            if not data:
+                raise LpiLabError(f"a scan worker exited without a result "
+                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+            ok, result = marshal.loads(data)
+            if not ok:
+                raise LpiLabError(f"a scan worker raised {result}")
+            results.append(result)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _run_scan(algebra, e, ground_kind, cap, workers):
     """Scan the tuple space on the tables. Returns the (hit, evaluations)
-    pair of each chunk in canonical order, a hit being a tuple of matrices,
-    plus the ground size and the tuple space. Chunks split the first
-    variable's positions into contiguous ranges, so the first chunk with a
-    hit holds the earliest one. Workers run _scan on these very tables."""
+    pair of each chunk in canonical order, up to the first chunk with a
+    hit, a hit being a tuple of matrices, plus the ground size and the
+    tuple space. Chunks split the first variable's positions into
+    contiguous ranges, so the first chunk with a hit holds the earliest
+    one. With several workers the chunks run in forked children of this
+    process, on these very tables."""
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
     nvars = len(e.variables())
@@ -388,15 +465,13 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
             f"tuple space {space} exceeds the cap {cap}; lower the dimension or use random mode"
         )
     scan = functools.partial(_scan, tb, e, ground)
-    # one process per CPU at most: the verdict does not depend on the split
-    workers = min(workers, os.cpu_count() or 1)
+    # one process per CPU at most, and one in all without os.fork: the
+    # verdict does not depend on the split
+    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1 and len(ground) >= workers and nvars > 0:
-        from concurrent.futures import ProcessPoolExecutor
-
         bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
         ranges = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(scan, ranges))
+        chunks = _forked_scans(scan, ranges)
     else:
         chunks = [scan(range(len(ground)))]
     E = tb.elements

@@ -86,19 +86,10 @@ class Matrix:
     def mul(self, other):
         self._compatible(other)
         R = self.ring
-        n = self.n
-        a = self.entries
-        b = other.entries
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = R.zero
-                for k in range(n):
-                    acc = R.add(acc, R.mul(a[i][k], b[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix._trusted(R, tuple(rows))
+        dot = R.dot
+        columns = tuple(zip(*other.entries))
+        return Matrix._trusted(R, tuple([tuple([dot(row, col) for col in columns])
+                                         for row in self.entries]))
 
     __mul__ = mul
 

@@ -14,6 +14,7 @@ homogeneous components.
 """
 
 from fractions import Fraction
+from operator import mul as _mul
 
 from .errors import PreconditionError, RingMismatch, SolveError
 
@@ -102,6 +103,9 @@ class IntegerRing:
     def neg(self, a):
         return -a
 
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys))
+
     def from_int(self, n):
         return n
 
@@ -157,6 +161,9 @@ class RationalField:
 
     def neg(self, a):
         return -a
+
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys))
 
     def from_int(self, n):
         return Fraction(n)
@@ -223,6 +230,10 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.p
+
+    def dot(self, xs, ys):
+        """The sum of the products x*y, reduced once."""
+        return sum(map(_mul, xs, ys)) % self.p
 
     def from_int(self, n):
         return n % self.p

@@ -1,13 +1,12 @@
-import concurrent.futures
 import copy
 import functools
 import itertools
-import multiprocessing
 import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,7 @@ from lpilab.checkers import (
     square_zero_nilpotency,
     vandermonde_nil,
 )
-from lpilab.errors import CapExceeded, PreconditionError, SolveError
+from lpilab.errors import CapExceeded, LpiLabError, PreconditionError, SolveError
 from lpilab.freegroup import Word
 from lpilab.group_algebra import (LaurentElement, OneVarLaurent, _Calls, gi_to_lpi,
                                   standard_polynomial)
@@ -144,7 +143,7 @@ def test_tables_match_matrix_arithmetic(descriptor):
     _assert_tables_match(tb, [(a, b) for a in range(tb.n) for b in range(tb.n)])
 
 
-@pytest.mark.parametrize("descriptor", ["M3@Fp:2", "T2@Fp:7", "T3@Fp:3"])
+@pytest.mark.parametrize("descriptor", ["M3@Fp:2", "T2@Fp:7", "T3@Fp:3", "D2@Fp:17", "M2@Fp:5"])
 def test_tables_match_matrix_arithmetic_sampled(descriptor):
     tb = checkers._Tables(parse_algebra(descriptor))
     rng = random.Random(descriptor)
@@ -152,6 +151,18 @@ def test_tables_match_matrix_arithmetic_sampled(descriptor):
     # every entry is one of the n shared index objects, not a fresh int
     entries = {id(x) for rows in (tb.mul, tb.add) for row in rows for x in row}
     assert len(entries | {id(x) for x in tb.neg + tb.units}) <= tb.n
+
+
+def test_tables_take_the_products_of_the_basis(monkeypatch):
+    # a*b is bilinear, so the L**2 products e_s*e_t give every entry: 81
+    # products for M3(F_2), where one per element and basis element took 4608
+    products = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: products.append(1) or mul(a, b))
+    for descriptor, count in (("M3@Fp:2", 81), ("T2@Fp:7", 9), ("D2@Fp:17", 4)):
+        products.clear()
+        checkers._Tables(parse_algebra(descriptor))
+        assert len(products) == count, descriptor
 
 
 def test_tables_cross_check_catches_a_broken_recurrence(monkeypatch):
@@ -553,10 +564,7 @@ def test_workers_build_no_tables(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(checkers._Tables, "__init__", once)
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)  # a pool even on one CPU
-    # forked workers inherit the wrapper, whatever the default start method
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)  # workers even on one CPU
     v = check_lpi(M2F2, standard_polynomial(3), workers=2)
     assert v.outcome == "counterexample" and v.evaluations == 293
     built.clear()
@@ -571,7 +579,7 @@ from lpilab.matrix_algebra import parse_algebra
 from lpilab.textio import parse_element
 
 multiprocessing.set_start_method("spawn")
-os.cpu_count = lambda: 2  # a pool even on one CPU
+os.cpu_count = lambda: 2  # workers even on one CPU
 for expr, algebra in (("x1*x2-x2*x1+2*x3", "M2@Fp:2"), ("2*x1*x2-2*x2*x1", "M2@Fp:5")):
     e, a = parse_element(expr), parse_algebra(algebra)
     one, two = (checkers.check_lpi(a, e, workers=w) for w in (1, 2))
@@ -582,8 +590,8 @@ for expr, algebra in (("x1*x2-x2*x1+2*x3", "M2@Fp:2"), ("2*x1*x2-2*x2*x1", "M2@F
 
 
 def test_spawned_workers_match_one_process():
-    # spawned workers import nothing of the parent's state: the tables, the
-    # element and its ring reach them pickled
+    # the start method no longer matters: a scan forks its workers itself,
+    # so they run the same path under "spawn" as under any other method
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", SPAWNED_SCAN], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
@@ -1139,39 +1147,170 @@ def test_workers_below_one_are_refused():
 
 
 def test_workers_are_bounded_by_the_cpu_count(monkeypatch):
-    # no real pool is started: the stand-in records its size and runs the
-    # chunks in this process
-    pools = []
+    # no child is forked: the stand-in records the chunk ranges and scans
+    # them in this process
+    calls = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers, self.chunks = max_workers, 0
-            pools.append(self)
+    def inline(scan, ranges):
+        calls.append(ranges)
+        return [scan(r) for r in ranges]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            self.chunks = len(payloads)
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(checkers, "_forked_scans", inline)
     one = check_lpi(M2F2, S3)
     monkeypatch.setattr(checkers.os, "cpu_count", lambda: 3)
     many = check_lpi(M2F2, S3, workers=700)
-    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 3)]
+    # three processes, the parent and two children, and three chunks
+    assert [len(ranges) for ranges in calls] == [3]
+    assert calls[0] == [range(0, 5), range(5, 11), range(11, 16)]
     assert (many.witness, many.evaluations) == (one.witness, one.evaluations)
     v = al_verify(1, 3, workers=700)
-    assert (pools[-1].max_workers, pools[-1].chunks) == (3, 3)
+    assert calls[-1] == [range(0, 1), range(1, 2), range(2, 3)]
     assert v.holds() and v.evaluations == 9
     # an unknown CPU count runs the scan in this process
     monkeypatch.setattr(checkers.os, "cpu_count", lambda: None)
     again = check_lpi(M2F2, S3, workers=700)
-    assert len(pools) == 2 and again.evaluations == one.evaluations
+    assert len(calls) == 2 and again.evaluations == one.evaluations
+
+
+# a hit in each place a two-worker scan can end: S_3 on M_2(F_2) hits in
+# the first chunk, x1*(x2 - x2^2) on T_2(F_2) first at x1 = e11, index 4 of
+# 8, so in the second, and the commutator holds on D_2(F_3)
+T2F2, D2F3 = parse_algebra("T2@Fp:2"), parse_algebra("D2@Fp:3")
+WORKER_ENDS = [(M2F2, S3, "counterexample", 293),
+               (T2F2, parse_element("x1*x2-x1*x2^2"), "counterexample", 35),
+               (D2F3, COMMUTATOR, "holds", 81)]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_workers_leave_no_child(monkeypatch):
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
+    forked = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    for algebra, e, outcome, evaluations in WORKER_ENDS:
+        one, two = check_lpi(algebra, e), check_lpi(algebra, e, workers=2)
+        assert (two.outcome, two.evaluations) == (outcome, evaluations)
+        assert two.witness == one.witness and two.evaluations == one.evaluations
+        _assert_no_child()
+    assert len(forked) == 3
+
+
+SLOW_LATER_CHUNKS = """
+import os, time
+from lpilab import checkers
+from lpilab.group_algebra import standard_polynomial
+from lpilab.matrix_algebra import parse_algebra
+
+os.cpu_count = lambda: 2  # workers even on one CPU
+scan = checkers._scan
+
+
+def slow(tb, e, ground, outer_range):
+    if outer_range.start > 0:
+        time.sleep(60)
+    return scan(tb, e, ground, outer_range)
+
+
+checkers._scan = slow
+t0 = time.monotonic()
+v = checkers.check_lpi(parse_algebra("M2@Fp:2"), standard_polynomial(3), workers=2)
+print(v.outcome, v.evaluations, time.monotonic() - t0)
+"""
+
+
+def test_a_hit_in_the_first_chunk_stops_the_others():
+    # the second chunk would take a minute; the parent's hit ends it at once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", SLOW_LATER_CHUNKS], env=env, check=True,
+                         capture_output=True, text=True, timeout=30).stdout.split()
+    assert out[:2] == ["counterexample", "293"] and float(out[2]) < 10
+
+
+def test_a_failing_worker_raises_its_error(monkeypatch):
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
+    scan = checkers._scan
+
+    def failing(tb, e, ground, outer_range):
+        if outer_range.start > 0:
+            raise ValueError("no second chunk")
+        return scan(tb, e, ground, outer_range)
+
+    monkeypatch.setattr(checkers, "_scan", failing)
+    with pytest.raises(LpiLabError, match="a scan worker raised ValueError: no second chunk"):
+        check_lpi(D2F3, COMMUTATOR, workers=2)
+    _assert_no_child()
+    # a hit in the first chunk never reads the second, as one worker never
+    # scans past the hit
+    assert check_lpi(M2F2, S3, workers=2).evaluations == 293
+    _assert_no_child()
+
+    def dying(tb, e, ground, outer_range):
+        if outer_range.start > 0:
+            os._exit(3)
+        return scan(tb, e, ground, outer_range)
+
+    monkeypatch.setattr(checkers, "_scan", dying)
+    with pytest.raises(LpiLabError, match=r"exited without a result \(exit code 3\)"):
+        check_lpi(D2F3, COMMUTATOR, workers=2)
+    _assert_no_child()
+
+    # an interrupt in the parent's own chunk kills the child that is still
+    # scanning
+    def interrupted(tb, e, ground, outer_range):
+        if outer_range.start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(checkers, "_scan", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        check_lpi(D2F3, COMMUTATOR, workers=2)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+
+
+def test_workers_without_fork_scan_in_this_process(monkeypatch):
+    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(checkers, "_forked_scans", lambda *args: pytest.fail("forked"))
+    for algebra, e, outcome, evaluations in WORKER_ENDS:
+        one, two = check_lpi(algebra, e), check_lpi(algebra, e, workers=2)
+        assert (two.outcome, two.evaluations) == (outcome, evaluations)
+        assert two.witness == one.witness
+
+
+POOL_FREE_CLI = """
+import os, runpy, sys
+
+os.cpu_count = lambda: 2  # workers even on one CPU
+sys.argv = ["lpilab", "check-lpi", "--expr", "x1^17-x1", "--algebra", "D2@Fp:17",
+            "--workers", "2"]
+try:
+    runpy.run_module("lpilab", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+pools = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+print(code, *pools, file=sys.stderr)
+"""
+
+
+def test_worker_scans_import_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", POOL_FREE_CLI], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert '"outcome": "holds"' in run.stdout
+    assert run.stderr.split() == ["0"]
 
 
 def test_random_units_are_inverted_once(monkeypatch):

@@ -44,6 +44,42 @@ def test_matrix_basic_arithmetic():
         a.power(-1)
 
 
+def _triple_loop_product(a, b):
+    """The reference product: one ring add and one ring mul per term."""
+    R, n = a.ring, a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = R.zero
+            for k in range(n):
+                acc = R.add(acc, R.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+PRODUCT_SCALARS = [
+    (ZZ, st.integers(-2**70, 2**70)),
+    (QQ, st.fractions(min_value=-50, max_value=50, max_denominator=30)),
+    (f2, st.integers(-4, 4)),
+    (f3, st.integers(-9, 9)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRODUCT_SCALARS), st.integers(1, 4), st.data())
+def test_matrix_products_match_the_triple_loop(ring_scalars, n, data):
+    ring, scalars = ring_scalars
+    square = st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = Matrix(ring, data.draw(square)), Matrix(ring, data.draw(square))
+    product = a.mul(b)
+    assert product.entries == _triple_loop_product(a, b)
+    # each entry is reduced, and of the ring's own type
+    assert product.entries == Matrix(ring, product.entries).entries
+    assert all(type(x) is type(ring.zero) for row in product.entries for x in row)
+
+
 def test_matrix_validation():
     with pytest.raises(PreconditionError):
         Matrix(ZZ, [[1, 2]])
