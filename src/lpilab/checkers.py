@@ -212,6 +212,8 @@ def _plain_eval(e, assignment):
                 if m is None:
                     raise PreconditionError(f"x{g} has no inverse for its negative exponent")
                 x = -x
+            # one product per letter, not rings.power: the re-verifier
+            # shares no power routine with what it confirms
             for _ in range(x):
                 prod = prod.mul(m)
         total = total.add(prod.scale(emb(c)))
@@ -798,10 +800,12 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
     def probe(a, b):
         nonlocal skipped
         ab = a.mul(b)
-        if _nil_index(ops, ab, n) is None:
+        k = _nil_index(ops, ab, n)
+        if k is None:
             skipped += 1
             return None, 1
-        return (None if ab.power(2 * d).is_zero() else {"a": a, "b": b, "ab": ab}), 1
+        # k is the least exponent with ab^k = 0, so (ab)^(2d) = 0 iff k <= 2d
+        return (None if k <= 2 * d else {"a": a, "b": b, "ab": ab}), 1
 
     def pairs():
         sq0 = list(algebra.enumerate_square_zero(cap))

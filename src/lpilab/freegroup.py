@@ -8,6 +8,7 @@ to match the usual x1, x2 notation.
 """
 
 from .errors import PreconditionError
+from .rings import power
 
 
 class Word:
@@ -93,14 +94,10 @@ class Word:
     def __invert__(self):
         return self.inverse()
 
+    mul = __mul__
+
     def __pow__(self, k):
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return power(self if k >= 0 else self.inverse(), abs(k), IDENTITY)
 
     def substitute(self, var, replacement):
         """Replace every syllable (var, e) by replacement**e and reduce."""

@@ -521,6 +521,8 @@ def _staged_program(ops, e, last=None):
     powers = [list(p.items()) for p in powers]
 
     def enter(d, idx):
+        # rings.power's square-and-multiply, inline: over the tables an
+        # index is an int with no mul, and this is the scan's hot path
         for x, slot in powers[d]:
             base = idx if x > 0 else INV[idx]
             k, acc = abs(x), None

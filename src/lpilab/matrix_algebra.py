@@ -10,7 +10,7 @@ artifact across runs and across worker counts, so reports can be diffed.
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
-from .rings import PrimeField, _field_for, _invert_square, _kernel
+from .rings import PrimeField, _field_for, _invert_square, _kernel, power
 
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
@@ -100,20 +100,7 @@ class Matrix:
                                          for row in self.entries]))
 
     def power(self, k):
-        if k < 0:
-            raise PreconditionError("power exponent must be >= 0")
-        if k == 0:
-            return identity(self.ring, self.n)
-        # square-and-multiply from the first factor, so m^1 costs no product
-        acc = None
-        base = self
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return acc
+        return power(self, k, identity(self.ring, self.n))
 
     def is_zero(self):
         z = self.ring.zero

@@ -79,17 +79,9 @@ def _is_prime(n):
     return True
 
 
-class IntegerRing:
-    """Arbitrary-precision integers. Units are 1 and -1."""
-
-    is_field = False
-    zero = 0
-    one = 1
-
-    def coerce(self, v):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise RingMismatch(f"not an integer: {v!r}")
-        return v
+class _Numbers:
+    """The arithmetic ZZ and QQ share: Python's own operators on int or
+    Fraction, with nothing to reduce."""
 
     def add(self, a, b):
         return a + b
@@ -106,6 +98,25 @@ class IntegerRing:
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys))
 
+    def is_neg(self, a):
+        return a < 0
+
+    def format(self, a):
+        return str(a)
+
+
+class IntegerRing(_Numbers):
+    """Arbitrary-precision integers. Units are 1 and -1."""
+
+    is_field = False
+    zero = 0
+    one = 1
+
+    def coerce(self, v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise RingMismatch(f"not an integer: {v!r}")
+        return v
+
     def from_int(self, n):
         return n
 
@@ -116,12 +127,6 @@ class IntegerRing:
         if a in (1, -1):
             return a
         raise PreconditionError(f"{a} is not a unit of ZZ")
-
-    def is_neg(self, a):
-        return a < 0
-
-    def format(self, a):
-        return str(a)
 
     def descriptor(self):
         return "ZZ"
@@ -136,7 +141,7 @@ class IntegerRing:
         return "ZZ"
 
 
-class RationalField:
+class RationalField(_Numbers):
     """Fractions in lowest terms. Internal plumbing for solving over ZZ."""
 
     is_field = True
@@ -150,21 +155,6 @@ class RationalField:
             return Fraction(v)
         raise RingMismatch(f"not a rational: {v!r}")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def dot(self, xs, ys):
-        return sum(map(_mul, xs, ys))
-
     def from_int(self, n):
         return Fraction(n)
 
@@ -175,12 +165,6 @@ class RationalField:
         if a == 0:
             raise PreconditionError("division by zero in QQ")
         return 1 / Fraction(a)
-
-    def is_neg(self, a):
-        return a < 0
-
-    def format(self, a):
-        return str(a)
 
     def descriptor(self):
         return "QQ"
@@ -279,6 +263,22 @@ def ring_from_descriptor(text):
             raise PreconditionError(f"bad prime field literal: {text!r}")
         return PrimeField(int(digits))
     raise PreconditionError(f"unknown ring literal: {text!r}")
+
+
+def power(x, k, one):
+    """x**k for k >= 0 through x.mul, one when k is 0, by square-and-multiply
+    from the first factor: at most 2 * log2(k) products, and power(x, 1, one)
+    is x itself."""
+    if k < 0:
+        raise PreconditionError("power exponent must be >= 0")
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else acc.mul(x)
+        k >>= 1
+        if k:
+            x = x.mul(x)
+    return one if acc is None else acc
 
 
 def embed_into(src, dst):
@@ -536,14 +536,7 @@ class FormalSum:
         return self._trusted(R, out)
 
     def power(self, k):
-        if k < 0:
-            raise PreconditionError("power exponent must be >= 0")
-        if k == 0:
-            return self.one_like()
-        acc = self
-        for _ in range(k - 1):
-            acc = acc.mul(self)
-        return acc
+        return power(self, k, self.one_like())
 
     def terms_sorted(self):
         sort_key = self._sort_key

@@ -23,6 +23,16 @@ fixed top-level shape (see report_schema.json); all diagnostics go to
 standard error. Exit status 0 means the check held or the requested
 object was produced, 1 means a counterexample was found, 2 means the
 invocation itself was at fault.
+
+A report's config is its subcommand's parsed flags, vars(args) without
+command and handler, after main has filled in --cap and --workers and
+drawn a missing --seed for --mode random. Every handler ends in
+_emit_verdict or _emit_ok and names only the flags its report leaves out
+(omit): parse leaves out expr, annihilator keep_duplicates,
+counterexample --poly count, deg_max and seed, and the random
+counterexample poly. A flag added later therefore shows up in its
+subcommand's config unless its handler omits it; an opt-in flag must be
+omitted if default reports are to stay byte-identical.
 """
 
 import argparse
@@ -269,12 +279,16 @@ def serialize(v):
     return str(v)
 
 
-def _report(command, config, outcome, details, witness=None, evaluations=None,
-            elapsed_ms=None):
+def _emit(args, outcome, details, omit=(), witness=None, evaluations=None,
+          elapsed_ms=None):
+    """Print the report of args' subcommand; its config is the parsed flags
+    but command, handler and omit."""
+    config = {name: value for name, value in vars(args).items()
+              if name not in ("command", "handler") and name not in omit}
     report = {
         "tool": "lpilab",
         "version": "0.1.0",
-        "command": command,
+        "command": args.command,
         "config": serialize(config),
         "outcome": outcome,
         "details": serialize(details),
@@ -285,25 +299,18 @@ def _report(command, config, outcome, details, witness=None, evaluations=None,
         report["evaluations"] = evaluations
     if elapsed_ms is not None:
         report["elapsed_ms"] = elapsed_ms
-    return report
-
-
-def _emit(report):
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _emit_verdict(command, config, verdict):
-    _emit(_report(command, config, verdict.outcome, verdict.details,
-                  witness=verdict.witness, evaluations=verdict.evaluations,
-                  elapsed_ms=verdict.elapsed_ms))
+def _emit_verdict(args, verdict):
+    _emit(args, verdict.outcome, verdict.details, witness=verdict.witness,
+          evaluations=verdict.evaluations, elapsed_ms=verdict.elapsed_ms)
     return 0 if verdict.outcome == "holds" else 1
 
 
-def _config(args, *names):
-    cfg = {}
-    for name in names:
-        cfg[name.replace("-", "_")] = getattr(args, name.replace("-", "_"))
-    return cfg
+def _emit_ok(args, details, witness=None, omit=()):
+    _emit(args, "ok", details, omit, witness)
+    return 0
 
 
 def _resolve_seed(args):
@@ -312,7 +319,6 @@ def _resolve_seed(args):
     if args.seed is None:
         args.seed = random.SystemRandom().randrange(2**32)
         print(f"seed not given; using {args.seed}", file=sys.stderr)
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -329,49 +335,31 @@ def _cmd_parse(args):
         details["admissible"] = is_admissible(e)
     else:
         details["support"] = e.support_size()
-    _emit(_report("parse", {"ring": args.ring, "context": args.context}, "ok", details))
-    return 0
+    return _emit_ok(args, details, omit=("expr",))
 
 
 def _cmd_check_lpi(args):
     algebra = parse_algebra(args.algebra)
     e = parse_element(args.expr, ZZ, "laurent")
-    if args.mode == "random":
-        _resolve_seed(args)
-    verdict = checkers.check_lpi(algebra, e, mode=args.mode, budget=args.budget,
-                                 seed=args.seed, cap=args.cap, workers=args.workers)
-    cfg = _config(args, "mode", "seed", "budget", "cap", "workers")
-    cfg["algebra"] = args.algebra
-    cfg["expr"] = args.expr
-    return _emit_verdict("check-lpi", cfg, verdict)
+    return _emit_verdict(args, checkers.check_lpi(
+        algebra, e, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap,
+        workers=args.workers))
 
 
 def _cmd_check_gi(args):
     algebra = parse_algebra(args.algebra)
     w = parse_word(args.word)
-    if args.mode == "random":
-        _resolve_seed(args)
-    verdict = checkers.check_group_identity(algebra, w, mode=args.mode,
-                                            budget=args.budget, seed=args.seed,
-                                            cap=args.cap)
-    cfg = _config(args, "mode", "seed", "budget", "cap")
-    cfg["algebra"] = args.algebra
-    cfg["word"] = args.word
-    return _emit_verdict("check-gi", cfg, verdict)
+    return _emit_verdict(args, checkers.check_group_identity(
+        algebra, w, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap))
 
 
 def _cmd_al_verify(args):
     ring = ring_from_descriptor(args.field)
     if not isinstance(ring, PrimeField):
         raise LpiLabError("al-verify needs a prime field, like Fp:2")
-    if args.mode == "random":
-        _resolve_seed(args)
-    verdict = checkers.al_verify(args.n, ring.p, mode=args.mode, budget=args.budget,
-                                 seed=args.seed, cap=args.cap, workers=args.workers)
-    cfg = _config(args, "mode", "seed", "budget", "cap", "workers")
-    cfg["n"] = args.n
-    cfg["field"] = args.field
-    return _emit_verdict("al-verify", cfg, verdict)
+    return _emit_verdict(args, checkers.al_verify(
+        args.n, ring.p, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap,
+        workers=args.workers))
 
 
 def _cmd_witness(args):
@@ -379,7 +367,7 @@ def _cmd_witness(args):
     e = parse_element(args.expr, ring, "laurent")
     result = normalize(e)
     prof = profile(result.element)
-    details = {
+    return _emit_ok(args, {
         "input": e.format(),
         "normalized": result.element.format(),
         "substituted_variable": None if result.variable is None else f"x{result.variable}",
@@ -388,39 +376,27 @@ def _cmd_witness(args):
         "r": prof.r,
         "d": prof.d,
         "admissible": True,
-    }
-    _emit(_report("witness", {"ring": args.ring, "expr": args.expr}, "ok", details))
-    return 0
+    })
 
 
 def _cmd_nilbound(args):
     algebra = parse_algebra(args.algebra)
-    if args.mode == "random":
-        _resolve_seed(args)
-    verdict = checkers.nil_exponent_search(algebra, m_max=args.m_max, mode=args.mode,
-                                           budget=args.budget, seed=args.seed,
-                                           cap=args.cap)
-    cfg = _config(args, "mode", "seed", "budget", "cap")
-    cfg["algebra"] = args.algebra
-    cfg["m_max"] = args.m_max
-    return _emit_verdict("nilbound", cfg, verdict)
+    return _emit_verdict(args, checkers.nil_exponent_search(
+        algebra, m_max=args.m_max, mode=args.mode, budget=args.budget, seed=args.seed,
+        cap=args.cap))
 
 
 def _cmd_annihilator(args):
     algebra = parse_algebra(args.algebra)
     result = checkers.finite_annihilator(algebra, cap=args.cap,
                                          merge_duplicates=not args.keep_duplicates)
-    details = {
+    return _emit_ok(args, {
         "g": result.g.format(),
         "degree": result.g.degree,
         "factors": [[t, r, count] for (t, r), count in result.factors],
         "pairs_checked": result.pairs_checked,
         "merged_duplicates": not args.keep_duplicates,
-    }
-    cfg = _config(args, "cap")
-    cfg["algebra"] = args.algebra
-    _emit(_report("annihilator", cfg, "ok", details))
-    return 0
+    }, omit=("keep_duplicates",))
 
 
 def _random_poly(rng, deg_max):
@@ -445,10 +421,8 @@ def _cmd_counterexample(args):
             "trial_bound": g.degree + 1,
             "g_of_ab": hit.value,
         }
-        witness = {"a": hit.a, "b": hit.b}
-        _emit(_report("counterexample", {"poly": args.poly}, "ok", details,
-                      witness=witness))
-        return 0
+        return _emit_ok(args, details, witness={"a": hit.a, "b": hit.b},
+                        omit=("count", "deg_max", "seed"))
     if args.count < 1:
         raise PreconditionError(f"--count must be at least 1, got {args.count}")
     if args.deg_max < 0:
@@ -470,53 +444,37 @@ def _cmd_counterexample(args):
         "all_within_bound": True,
         "cases": cases[:5],
     }
-    cfg = _config(args, "seed")
-    cfg["count"] = args.count
-    cfg["deg_max"] = args.deg_max
-    _emit(_report("counterexample", cfg, "ok", details))
-    return 0
+    return _emit_ok(args, details, omit=("poly",))
 
 
 def _cmd_bounds(args):
     size_bound, dim_bound = checkers.bounds_from_d(args.d, args.q)
-    details = {"d": args.d, "q": args.q, "size_bound": size_bound,
-               "dimension_bound": dim_bound}
-    _emit(_report("bounds", {"d": args.d, "q": args.q}, "ok", details))
-    return 0
+    return _emit_ok(args, {"d": args.d, "q": args.q, "size_bound": size_bound,
+                           "dimension_bound": dim_bound})
 
 
 def _cmd_quotient(args):
     ring = ring_from_descriptor(args.ring)
     _resolve_seed(args)
-    verdict = checkers.quotient_pi_check(args.n, samples=args.samples,
-                                         seed=args.seed, ring=ring)
-    cfg = _config(args, "seed")
-    cfg["n"] = args.n
-    cfg["samples"] = args.samples
-    cfg["ring"] = args.ring
-    return _emit_verdict("quotient", cfg, verdict)
+    return _emit_verdict(args, checkers.quotient_pi_check(
+        args.n, samples=args.samples, seed=args.seed, ring=ring))
 
 
 def _cmd_s3_expand(args):
-    _emit(_report("s3-expand", {}, "ok", checkers.s3_expand()))
-    return 0
+    return _emit_ok(args, checkers.s3_expand())
 
 
 def _cmd_idempotents(args):
     algebra = parse_algebra(args.algebra)
     total = sum(1 for m in algebra.enumerate_elements(args.cap) if m.mul(m) == m)
     violators = checkers.idempotent_centrality(algebra, cap=args.cap)
-    details = {
+    return _emit_ok(args, {
         "idempotents": total,
         "noncentral_count": len(violators),
         "noncentral": [
             {"idempotent": e, "noncommuting": m} for e, m in violators
         ],
-    }
-    cfg = _config(args, "cap")
-    cfg["algebra"] = args.algebra
-    _emit(_report("idempotents", cfg, "ok", details))
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +589,8 @@ def main(argv=None):
             args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
         if hasattr(args, "workers") and args.workers is None:
             args.workers = _env_int("LPILAB_WORKERS", 1)
+        if getattr(args, "mode", None) == "random":
+            _resolve_seed(args)
         return args.handler(args)
     except ParseError as exc:
         print(f"error: parse error at line {exc.line} col {exc.col}: {exc}",

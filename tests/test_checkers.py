@@ -1085,9 +1085,9 @@ def test_counterexample_needs_independent_confirmation(monkeypatch, name, target
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_square_zero_counterexample_needs_confirmation(monkeypatch, mode):
     # a^2 = b^2 = 0 with ab nilpotent forces (ab)^2 = 0 on M2(F2), so a
-    # search that sees (ab)^2 != 0 is wrong, and confirmation, which takes
-    # its powers by Horner evaluation, must refuse the hit
-    monkeypatch.setattr(Matrix, "power", lambda self, k: self.one_like())
+    # search that reads a nil index past 2 is wrong, and confirmation, which
+    # takes its powers by Horner evaluation, must refuse the hit
+    monkeypatch.setattr(checkers, "_nil_index", lambda ops, idx, bound: bound + 1)
     with pytest.raises(SolveError):
         square_zero_nilpotency(M2F2, 1, mode=mode, budget=50, seed=2)
 

@@ -104,6 +104,34 @@ def test_laurent_power():
         e.power(-1)
 
 
+def _k_fold(x, k, one):
+    acc = one
+    for _ in range(k):
+        acc = acc.mul(x)
+    return acc
+
+
+_small = st.integers(-3, 3)
+_words = st.lists(st.tuples(st.integers(1, 3), _small), max_size=4).map(Word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_power_is_the_k_fold_product(data, k, seed):
+    # the square-and-multiply that every value kind shares, against k products
+    f3 = PrimeField(3)
+    rows = data.draw(st.lists(st.lists(_small, min_size=2, max_size=2), min_size=2, max_size=2))
+    m = Matrix(f3, rows)
+    assert m.power(k) == _k_fold(m, k, m.one_like())
+    e = LaurentElement(ZZ, data.draw(st.lists(st.tuples(_words, _small), max_size=3)))
+    assert e.power(k) == _k_fold(e, k, e.one_like())
+    q = sample_element(f3, random.Random(seed), max_support=3, max_len=3)
+    assert q.power(k) == _k_fold(q, k, q.one_like())
+    w = data.draw(_words)
+    assert w ** k == _k_fold(w, k, IDENTITY)
+    assert w ** -k == _k_fold(w.inverse(), k, IDENTITY)
+
+
 # ---------------------------------------------------------------------------
 # evaluate and q_evaluate against _plain_eval
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpilab.checkers import DEFAULT_BUDGET
 from lpilab.errors import ParseError
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, al_f2, standard_polynomial
+from lpilab.matrix_algebra import DEFAULT_CAP
 from lpilab.quotient_algebra import QuotientElement, sample_element
 from lpilab.rings import ZZ, PrimeField, ring_from_descriptor
 from lpilab.textio import build_parser, main, parse_element, parse_word, serialize, tokenize
@@ -243,6 +245,58 @@ def test_inadmissible_message_mentions_it():
     code, out, err = run_cli("witness", "--expr", "x1*x2*x1^-1*x2^-1")
     assert code == 2
     assert "inadmissible" in err.lower()
+
+
+SEARCH = {"mode": "exhaustive", "seed": None, "budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP}
+
+# argv -> the config its report carries: the subcommand's flags, with
+# --cap and --workers filled in, less each handler's historical omissions
+CONFIGS = [
+    (["parse", "--expr", "x1*x2", "--ring", "Fp:3"], {"ring": "Fp:3", "context": "laurent"}),
+    (["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--mode", "random", "--seed", "7",
+      "--budget", "5", "--cap", "900"],
+     {"expr": "S(3)", "algebra": "M2@Fp:2", "mode": "random", "seed": 7, "budget": 5,
+      "cap": 900, "workers": 1}),
+    (["check-gi", "--word", "x1^6", "--algebra", "M2@Fp:2"],
+     {"word": "x1^6", "algebra": "M2@Fp:2", **SEARCH}),
+    (["al-verify", "--n", "1", "--field", "Fp:3"],
+     {"n": 1, "field": "Fp:3", "workers": 1, **SEARCH}),
+    (["witness", "--expr", "1 - x1^2 + x1^5"], {"expr": "1 - x1^2 + x1^5", "ring": "ZZ"}),
+    (["nilbound", "--algebra", "T2@Fp:2", "--m-max", "3"],
+     {"algebra": "T2@Fp:2", "m_max": 3, **SEARCH}),
+    (["annihilator", "--algebra", "M2@Fp:2", "--keep-duplicates"],
+     {"algebra": "M2@Fp:2", "cap": DEFAULT_CAP}),
+    (["counterexample", "--poly", "0,2,1", "--count", "3", "--seed", "1"], {"poly": "0,2,1"}),
+    (["counterexample", "--count", "2", "--deg-max", "1", "--seed", "5"],
+     {"count": 2, "deg_max": 1, "seed": 5}),
+    (["bounds", "--d", "3"], {"d": 3, "q": 2}),
+    (["quotient", "--n", "2", "--samples", "5", "--seed", "4"],
+     {"n": 2, "samples": 5, "seed": 4, "ring": "ZZ"}),
+    (["s3-expand"], {}),
+    (["idempotents", "--algebra", "M2@Fp:2"], {"algebra": "M2@Fp:2", "cap": DEFAULT_CAP}),
+]
+
+
+@pytest.mark.parametrize("argv, config", CONFIGS, ids=[" ".join(a[:2]) for a, _ in CONFIGS])
+def test_report_config_is_the_subcommands_flags(monkeypatch, argv, config):
+    monkeypatch.delenv("LPILAB_CAP", raising=False)
+    monkeypatch.delenv("LPILAB_WORKERS", raising=False)
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1), err
+    assert json.loads(out)["config"] == config
+
+
+def test_every_subcommand_has_a_pinned_config():
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv, _ in CONFIGS} == set(commands)
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = LaurentElement.mul
+    monkeypatch.setattr(LaurentElement, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert parse_element("x1^1000") == LaurentElement.from_word(ZZ, Word.gen(1, 1000))
+    assert 0 < len(calls) <= 2 * 10  # 2 * ceil(log2(1000))
 
 
 def test_missing_seed_is_generated_and_reported():
