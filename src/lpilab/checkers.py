@@ -212,10 +212,15 @@ def _plain_eval(e, assignment):
                 if m is None:
                     raise PreconditionError(f"x{g} has no inverse for its negative exponent")
                 x = -x
-            # one product per letter, not rings.power: the re-verifier
-            # shares no power routine with what it confirms
-            for _ in range(x):
-                prod = prod.mul(m)
+            # square-and-multiply from the top bit down, at most 2*log2(x) + 1
+            # products; not rings.power, which runs from the bottom bit up, so
+            # the re-verifier shares no power routine with what it confirms
+            p = m
+            for bit in bin(x)[3:]:
+                p = p.mul(p)
+                if bit == "1":
+                    p = p.mul(m)
+            prod = prod.mul(p)
         total = total.add(prod.scale(emb(c)))
     return total
 
@@ -1024,16 +1029,20 @@ def idempotent_centrality(algebra, cap=DEFAULT_CAP):
     """All noncentral idempotents, each with an element it fails to
     commute with. A diagnostic survey: central output means central
     within this finite algebra, nothing more."""
+    return idempotent_survey(algebra, cap)[1]
+
+
+def idempotent_survey(algebra, cap=DEFAULT_CAP):
+    """(the number of idempotents, idempotent_centrality's list), enumerating once."""
     elements = list(algebra.enumerate_elements(cap))
+    idempotents = [e for e in elements if e.mul(e) == e]
     violators = []
-    for e in elements:
-        if e.mul(e) != e:
-            continue
+    for e in idempotents:
         for m in elements:
             if e.mul(m) != m.mul(e):
                 violators.append((e, m))
                 break
-    return violators
+    return len(idempotents), violators
 
 
 def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):

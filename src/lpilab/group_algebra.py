@@ -52,6 +52,7 @@ class LaurentElement(FormalSum):
 
     _sort_key = staticmethod(Word.sort_key)
     _key_text = staticmethod(Word.format)
+    _key_mul = staticmethod(Word.__mul__)
 
     @classmethod
     def from_word(cls, ring, word, coeff=1):
@@ -84,22 +85,6 @@ class LaurentElement(FormalSum):
         for c in self.terms.values():
             acc = self.ring.add(acc, c)
         return acc
-
-    def mul(self, other):
-        self._same_ring(other)
-        R = self.ring
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = R.add(out.get(w, R.zero), R.mul(c1, c2))
-                if s == R.zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return LaurentElement._trusted(R, out)
-
-    __mul__ = mul
 
     def at(self, assignment, inverse):
         """The value of this element at an assignment of algebra elements.
@@ -162,9 +147,8 @@ class OneVarLaurent(FormalSum):
         if not isinstance(e, int):
             raise PreconditionError(f"exponent of t must be an integer: {e!r}")
 
-    @staticmethod
-    def _sort_key(e):
-        return e
+    _sort_key = staticmethod(int)
+    _key_mul = staticmethod(operator.add)
 
     @staticmethod
     def _key_text(e):
@@ -268,10 +252,8 @@ def diagonal_specialize(e):
         raise DiagonalCollapse(
             f"P(t,...,t) collapsed to zero for {e.format()}"
         )
-    coeffs = [R.zero] * (prof.r - prof.l + 1)
-    for exp, c in diag.terms.items():
-        coeffs[exp - prof.l] = c
-    return diag, UniPoly(R, coeffs)
+    # t^(-l) shifts every exponent up by -l >= 0
+    return diag, UniPoly._trusted(R, {exp - prof.l: c for exp, c in diag.terms.items()})
 
 
 def standard_polynomial(n, ring=ZZ, cap=STANDARD_CAP):

@@ -8,13 +8,14 @@ the runtime. The price is that a bare int does not know its ring, so every
 structure that stores scalars (polynomials, matrices, formal sums) also
 stores the ring object and refuses to mix rings.
 
-Univariate polynomials live here too, as coefficient sequences, together
-with the exact Vandermonde solver used to split a polynomial relation into
+FormalSum, the base of every formal sum in the package, lives here too,
+with its one-variable case UniPoly, a polynomial keyed by exponent, and
+the exact Vandermonde solver used to split a polynomial relation into
 homogeneous components.
 """
 
 from fractions import Fraction
-from operator import mul as _mul
+from operator import add as _add, mul as _mul, neg as _neg
 
 from .errors import PreconditionError, RingMismatch, SolveError
 
@@ -295,140 +296,6 @@ def embed_into(src, dst):
     raise RingMismatch(f"no canonical embedding {src!r} -> {dst!r}")
 
 
-class UniPoly:
-    """A univariate polynomial as an ascending coefficient tuple.
-
-    The zero polynomial is the empty tuple and its degree is NEG_INF, a
-    sentinel rather than -1, so degree comparisons never lie.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs=()):
-        coeffs = [ring.coerce(c) for c in coeffs]
-        while coeffs and coeffs[-1] == ring.zero:
-            coeffs.pop()
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def x_power(cls, ring, k, c=1):
-        """c * X**k."""
-        return cls(ring, [ring.zero] * k + [ring.from_int(c) if isinstance(c, int) else c])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
-
-    def _same_ring(self, other):
-        if not isinstance(other, UniPoly) or other.ring != self.ring:
-            raise RingMismatch("polynomial rings differ")
-
-    def __add__(self, other):
-        self._same_ring(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        R = self.ring
-        return UniPoly(R, [R.add(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        R = self.ring
-        return UniPoly(R, [R.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __neg__(self):
-        R = self.ring
-        return UniPoly(R, [R.neg(c) for c in self.coeffs])
-
-    def __mul__(self, other):
-        self._same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.ring)
-        R = self.ring
-        out = [R.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == R.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return UniPoly(R, out)
-
-    def divmod_by(self, divisor):
-        """Long division. The divisor's leading coefficient must be a unit."""
-        self._same_ring(divisor)
-        if divisor.is_zero():
-            raise PreconditionError("division by the zero polynomial")
-        R = self.ring
-        lead = divisor.coeffs[-1]
-        if not R.is_unit(lead):
-            raise PreconditionError("leading coefficient of divisor is not a unit")
-        lead_inv = R.inv(lead)
-        rem = list(self.coeffs)
-        dd = len(divisor.coeffs) - 1
-        if len(rem) <= dd:
-            return UniPoly(R), UniPoly(R, rem)
-        quot = [R.zero] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == R.zero:
-                continue
-            q = R.mul(c, lead_inv)
-            quot[k - dd] = q
-            for i, b in enumerate(divisor.coeffs):
-                rem[k - dd + i] = R.sub(rem[k - dd + i], R.mul(q, b))
-        return UniPoly(R, quot), UniPoly(R, rem)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def format(self, var="X"):
-        return format_sum(self.ring, (
-            (None if i == 0 else var if i == 1 else f"{var}^{i}", c)
-            for i, c in reversed(list(enumerate(self.coeffs)))
-            if c != self.ring.zero
-        ))
-
-    def __repr__(self):
-        return f"UniPoly({self.ring!r}, {self.format()})"
-
-
-def format_sum(ring, terms):
-    """Format a formal sum of (monomial, coefficient) pairs as "a - 2*b + c".
-
-    The monomial is its text, or None for the constant term. Unit
-    coefficients are left implicit on monomials, a leading minus sign
-    binds without a space, and the empty sum is "0".
-    """
-    parts = []
-    for mono, c in terms:
-        neg = ring.is_neg(c)
-        mag = ring.neg(c) if neg else c
-        if mono is None:
-            body = ring.format(mag)
-        elif mag == ring.one:
-            body = mono
-        else:
-            body = f"{ring.format(mag)}*{mono}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts) or "0"
-
-
 class FormalSum:
     """A finite formal sum of monomials with coefficients in a ring.
 
@@ -436,9 +303,10 @@ class FormalSum:
     coefficients dropped, and the element is immutable, so equal sums
     compare, hash and print the same. A subclass names its unit monomial
     UNIT and supplies _check_key (validates a monomial or raises),
-    _sort_key (the print order) and _key_text (the text of a monomial
-    other than UNIT), plus its own product: mul is left to the subclass
-    because it is the one operation whose monomial arithmetic differs.
+    _sort_key (the print order), _key_text (the text of a monomial other
+    than UNIT) and _key_mul (the product of two monomials), which mul
+    uses; a subclass whose monomials can multiply to zero writes its own
+    mul instead.
 
     The public constructor validates: it checks every key and coerces
     every coefficient. Arithmetic on valid operands builds its result with
@@ -485,11 +353,11 @@ class FormalSum:
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring)
+        return cls._trusted(ring, {})
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, [(cls.UNIT, ring.one)])
+        return cls._trusted(ring, {cls.UNIT: ring.one})
 
     def one_like(self):
         return self.one(self.ring)
@@ -525,6 +393,23 @@ class FormalSum:
     def __sub__(self, other):
         return self.add(-other)
 
+    def mul(self, other):
+        self._same_ring(other)
+        R = self.ring
+        key_mul = self._key_mul
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = key_mul(k1, k2)
+                s = R.add(out.get(key, R.zero), R.mul(c1, c2))
+                if s == R.zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return self._trusted(R, out)
+
+    __mul__ = mul
+
     def scale(self, c):
         R = self.ring
         c = R.coerce(c)
@@ -543,10 +428,25 @@ class FormalSum:
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
 
     def format(self):
-        unit, text = self.UNIT, self._key_text
-        return format_sum(self.ring, (
-            (None if key == unit else text(key), c) for key, c in self.terms_sorted()
-        ))
+        """The sum as "a - 2*b + c" in print order: unit coefficients are
+        left implicit on monomials, a leading minus sign binds without a
+        space, and the empty sum is "0"."""
+        R, unit, text = self.ring, self.UNIT, self._key_text
+        parts = []
+        for key, c in self.terms_sorted():
+            neg = R.is_neg(c)
+            mag = R.neg(c) if neg else c
+            if key == unit:
+                body = R.format(mag)
+            elif mag == R.one:
+                body = text(key)
+            else:
+                body = f"{R.format(mag)}*{text(key)}"
+            if not parts:
+                parts.append(f"-{body}" if neg else body)
+            else:
+                parts.append(f"- {body}" if neg else f"+ {body}")
+        return " ".join(parts) or "0"
 
     def __eq__(self, other):
         return (
@@ -560,6 +460,75 @@ class FormalSum:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.ring!r}, {self.format()})"
+
+
+class UniPoly(FormalSum):
+    """A univariate polynomial in X, its terms keyed by exponent.
+
+    The constructor takes the ascending coefficients. The zero polynomial
+    has degree NEG_INF, a sentinel rather than -1, so degree comparisons
+    never lie.
+    """
+
+    __slots__ = ()
+
+    UNIT = 0
+
+    def __init__(self, ring, coeffs=()):
+        super().__init__(ring, enumerate(coeffs))
+
+    @staticmethod
+    def _check_key(e):
+        pass  # the constructor's keys come from enumerate
+
+    _sort_key = staticmethod(_neg)
+    _key_mul = staticmethod(_add)
+
+    @staticmethod
+    def _key_text(e):
+        return "X" if e == 1 else f"X^{e}"
+
+    @classmethod
+    def x_power(cls, ring, k):
+        """X**k for k >= 0."""
+        return cls(ring, [ring.zero] * k + [ring.one])
+
+    @property
+    def degree(self):
+        return max(self.terms, default=NEG_INF)
+
+    @property
+    def coeffs(self):
+        """The ascending coefficient tuple, () for the zero polynomial."""
+        return tuple(map(self.coeff, range(max(self.terms, default=-1) + 1)))
+
+    def coeff(self, i):
+        return self.terms.get(i, self.ring.zero)
+
+    def divmod_by(self, divisor):
+        """Long division. The divisor's leading coefficient must be a unit."""
+        self._same_ring(divisor)
+        if divisor.is_zero():
+            raise PreconditionError("division by the zero polynomial")
+        R = self.ring
+        lead = divisor.coeffs[-1]
+        if not R.is_unit(lead):
+            raise PreconditionError("leading coefficient of divisor is not a unit")
+        lead_inv = R.inv(lead)
+        rem = list(self.coeffs)
+        dd = len(divisor.coeffs) - 1
+        if len(rem) <= dd:
+            return UniPoly(R), UniPoly(R, rem)
+        quot = [R.zero] * (len(rem) - dd)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            c = rem[k]
+            if c == R.zero:
+                continue
+            q = R.mul(c, lead_inv)
+            quot[k - dd] = q
+            for i, b in enumerate(divisor.coeffs):
+                rem[k - dd + i] = R.sub(rem[k - dd + i], R.mul(q, b))
+        return UniPoly(R, quot), UniPoly(R, rem)
 
 
 def unipoly_eval(g, v, ring=None):

@@ -48,7 +48,6 @@ from .errors import Inadmissible, LpiLabError, ParseError, PreconditionError
 from .freegroup import Word
 from .group_algebra import (
     LaurentElement,
-    OneVarLaurent,
     al_f2,
     is_admissible,
     normalize,
@@ -57,7 +56,7 @@ from .group_algebra import (
 )
 from .matrix_algebra import DEFAULT_CAP, Matrix, parse_algebra
 from .quotient_algebra import QuotientElement
-from .rings import ZZ, PrimeField, UniPoly, ring_from_descriptor
+from .rings import ZZ, FormalSum, PrimeField, UniPoly, ring_from_descriptor
 
 MAX_VARIABLES = 8
 
@@ -267,7 +266,7 @@ def serialize(v):
         return str(v)
     if isinstance(v, Matrix):
         return v.as_lists()
-    if isinstance(v, (Word, LaurentElement, QuotientElement, OneVarLaurent, UniPoly)):
+    if isinstance(v, (Word, FormalSum)):
         return v.format()
     if isinstance(v, dict):
         return {
@@ -466,8 +465,7 @@ def _cmd_s3_expand(args):
 
 def _cmd_idempotents(args):
     algebra = parse_algebra(args.algebra)
-    total = sum(1 for m in algebra.enumerate_elements(args.cap) if m.mul(m) == m)
-    violators = checkers.idempotent_centrality(algebra, cap=args.cap)
+    total, violators = checkers.idempotent_survey(algebra, cap=args.cap)
     return _emit_ok(args, {
         "idempotents": total,
         "noncentral_count": len(violators),

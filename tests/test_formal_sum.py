@@ -1,5 +1,5 @@
-"""The formal-sum base shared by Laurent, quotient and one-variable
-elements, and the compiled programs that evaluate and q_evaluate run,
+"""The formal-sum base shared by Laurent, quotient, one-variable Laurent
+and polynomial elements, and the compiled programs that evaluate and q_evaluate run,
 checked against the plain re-verifier of the checkers."""
 
 import random
@@ -16,7 +16,7 @@ from lpilab import checkers, group_algebra
 from lpilab.group_algebra import LaurentElement, OneVarLaurent, standard_polynomial
 from lpilab.matrix_algebra import Matrix, evaluate, mat_inverse, parse_algebra
 from lpilab.quotient_algebra import QuotientElement, q_evaluate, q_unit, sample_element
-from lpilab.rings import QQ, ZZ, FormalSum, PrimeField
+from lpilab.rings import QQ, ZZ, FormalSum, PrimeField, UniPoly
 
 f2 = PrimeField(2)
 
@@ -30,10 +30,11 @@ def samples(ring):
         LaurentElement: (x1.add(x2.scale(ring.from_int(3))), x1.mul(x2)),
         QuotientElement: (x.add(y), x.mul(y).add(QuotientElement.one(ring))),
         OneVarLaurent: (t, OneVarLaurent(ring, [(0, ring.one)])),
+        UniPoly: (UniPoly(ring, [1, 0, 3]), UniPoly(ring, [0, 1])),
     }
 
 
-@pytest.mark.parametrize("cls", [LaurentElement, QuotientElement, OneVarLaurent],
+@pytest.mark.parametrize("cls", [LaurentElement, QuotientElement, OneVarLaurent, UniPoly],
                          ids=lambda c: c.__name__)
 def test_formal_sum_contract(cls):
     a, b = samples(ZZ)[cls]
@@ -134,6 +135,31 @@ def test_power_is_the_k_fold_product(data, k, seed):
 
 # ---------------------------------------------------------------------------
 # evaluate and q_evaluate against _plain_eval
+
+
+def test_plain_eval_takes_logarithmically_many_products(monkeypatch):
+    f3 = PrimeField(3)
+    calls = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    value = _plain_eval(LaurentElement.from_word(ZZ, Word.gen(1, 1000)),
+                        {1: Matrix(f3, [[1, 1], [0, 1]])})
+    assert value == Matrix(f3, [[1, 1000], [0, 1]])
+    assert 0 < len(calls) <= 2 * 10 + 1  # 2 * ceil(log2(1000)) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-64, 64), seed=st.integers(0, 2**16))
+def test_plain_eval_powers_are_the_k_fold_product(k, seed):
+    rng = random.Random(seed)
+    x1k = LaurentElement.from_word(ZZ, Word.gen(1, k) if k else IDENTITY)
+    # negative powers on units of M2(ZZ), the others on M2(F_3) and on F
+    m = zz_unit(rng) if k < 0 else parse_algebra("M2@Fp:3").sample_element(rng)
+    base = mat_inverse(m) if k < 0 else m
+    assert _plain_eval(x1k, {1: m}) == _k_fold(base, abs(k), m.one_like())
+    if k >= 0:
+        q = sample_element(ZZ, rng, max_support=3, max_len=3)
+        assert _plain_eval(x1k, {1: q}) == _k_fold(q, k, q.one_like())
 
 
 def random_word(rng, nvars):
@@ -375,9 +401,7 @@ def operands(draw):
 @given(operands())
 def test_arithmetic_results_equal_their_revalidated_copies(args):
     a, b, c, k = args
-    results = [a.add(b), -a, a - b, a.scale(c)]
-    if hasattr(a, "mul"):  # OneVarLaurent has no product
-        results += [a.mul(b), a.power(k)]
+    results = [a.add(b), -a, a - b, a.scale(c), a.mul(b), a.power(k)]
     for x in results:
         assert type(x)(x.ring, x.terms) == x
         assert x.ring.zero not in x.terms.values()

@@ -94,6 +94,14 @@ CASES = {
     "nilbound_m2f3_random": (
         ["nilbound", "--algebra", "M2@Fp:3", "--mode", "random", "--seed", "4", "--budget",
          "200"], 1),
+    # UniPoly in the report: a given polynomial and random ones, frozen
+    # from the commit before UniPoly became a FormalSum; the idempotent
+    # survey and a high power's confirmation from the same commit
+    "counterexample_poly": (["counterexample", "--poly", "1,0,-3,2"], 0),
+    "counterexample_random": (
+        ["counterexample", "--count", "20", "--deg-max", "6", "--seed", "5"], 0),
+    "idempotents_m2f2": (["idempotents", "--algebra", "M2@Fp:2"], 0),
+    "check_lpi_x1e6_m2f2": (["check-lpi", "--expr", "x1^1000000-1", "--algebra", "M2@Fp:2"], 1),
 }
 
 

@@ -1,7 +1,10 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpilab.errors import PreconditionError, RingMismatch, SolveError
 from lpilab.rings import (
@@ -89,6 +92,11 @@ def test_unipoly_arithmetic():
     assert (p - p).is_zero()
     assert p.format() == "2*X + 1"
     assert UniPoly(ZZ, [0, -1, 1]).format() == "X^2 - X"
+    with pytest.raises(RingMismatch, match="not UniPolys over one ring"):
+        p + UniPoly(PrimeField(7), [1])
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_unipoly_divmod():
@@ -98,6 +106,122 @@ def test_unipoly_divmod():
     q, r = a.divmod_by(b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+class RefUniPoly:
+    """The coefficient-tuple polynomial UniPoly was before it became a
+    FormalSum, kept as the reference for the property below."""
+
+    def __init__(self, ring, coeffs=()):
+        coeffs = [ring.coerce(c) for c in coeffs]
+        while coeffs and coeffs[-1] == ring.zero:
+            coeffs.pop()
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def coeff(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        R = self.ring
+        return RefUniPoly(R, [R.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        R = self.ring
+        return RefUniPoly(R, [R.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+
+    def __neg__(self):
+        return RefUniPoly(self.ring, [self.ring.neg(c) for c in self.coeffs])
+
+    def __mul__(self, other):
+        R = self.ring
+        if not self.coeffs or not other.coeffs:
+            return RefUniPoly(R)
+        out = [R.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = R.add(out[i + j], R.mul(a, b))
+        return RefUniPoly(R, out)
+
+    def divmod_by(self, divisor):
+        R = self.ring
+        lead_inv = R.inv(divisor.coeffs[-1])
+        rem = list(self.coeffs)
+        dd = len(divisor.coeffs) - 1
+        if len(rem) <= dd:
+            return RefUniPoly(R), RefUniPoly(R, rem)
+        quot = [R.zero] * (len(rem) - dd)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            q = R.mul(rem[k], lead_inv)
+            quot[k - dd] = q
+            for i, b in enumerate(divisor.coeffs):
+                rem[k - dd + i] = R.sub(rem[k - dd + i], R.mul(q, b))
+        return RefUniPoly(R, quot), RefUniPoly(R, rem)
+
+    def __eq__(self, other):
+        return other.ring == self.ring and other.coeffs == self.coeffs
+
+    def format(self):
+        R, parts = self.ring, []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == R.zero:
+                continue
+            neg = R.is_neg(c)
+            mag = R.neg(c) if neg else c
+            mono = None if i == 0 else "X" if i == 1 else f"X^{i}"
+            if mono is None:
+                body = R.format(mag)
+            elif mag == R.one:
+                body = mono
+            else:
+                body = f"{R.format(mag)}*{mono}"
+            if not parts:
+                parts.append(f"-{body}" if neg else body)
+            else:
+                parts.append(f"- {body}" if neg else f"+ {body}")
+        return " ".join(parts) or "0"
+
+
+@st.composite
+def unipoly_cases(draw):
+    """A ring, two coefficient lists (the second sometimes the first, so
+    differences cancel), a divisor's list with a unit lead, and a scalar."""
+    ring = draw(st.sampled_from([ZZ, PrimeField(2), PrimeField(7)]))
+    coeffs = st.lists(st.integers(-4, 4), max_size=6)
+    a = draw(coeffs)
+    b = draw(st.one_of(coeffs, st.just(a)))
+    units = [1, -1] if ring == ZZ else list(range(1, ring.p))
+    d = draw(st.lists(st.integers(-4, 4), max_size=3)) + [draw(st.sampled_from(units))]
+    return ring, a, b, d, draw(st.integers(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unipoly_cases())
+def test_unipoly_matches_the_coefficient_tuple_reference(case):
+    from lpilab.matrix_algebra import Matrix
+
+    R, a, b, d, v = case
+    x, y, dv = UniPoly(R, a), UniPoly(R, b), UniPoly(R, d)
+    rx, ry, rd = RefUniPoly(R, a), RefUniPoly(R, b), RefUniPoly(R, d)
+    pairs = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+             (x * y, rx * ry), *zip(x.divmod_by(dv), rx.divmod_by(rd))]
+    m = Matrix(R, [[v, 1], [a[0] if a else 0, 2]])
+    for got, ref in pairs:
+        assert got.coeffs == ref.coeffs and got.degree == ref.degree
+        assert [got.coeff(i) for i in range(-1, 12)] == [ref.coeff(i) for i in range(-1, 12)]
+        assert got.format() == ref.format()
+        assert unipoly_eval(got, v, R) == unipoly_eval(ref, v, R)
+        assert unipoly_eval(got, m) == unipoly_eval(ref, m)
+        assert R.zero not in got.terms.values()
+        assert got == UniPoly(R, got.coeffs) and hash(got) == hash(UniPoly(R, got.coeffs))
+    assert (x == y) == (rx == ry)
 
 
 def test_unipoly_eval_scalar_and_matrix():
