@@ -47,8 +47,19 @@ element e_t. An index is a sum of digit times e_t, so the row of N
 values follows from f(0) and the L values f(e_t) by the recurrence that
 builds the tables' mul rows: L + 1 evaluations instead of N, and none
 past f(0) when all of them are zero. Other elements are evaluated at
-every position of the row. Either way the count is the hit's position
-in canonical order, so the row changes neither witness nor count.
+every position of the row. On the elements ground a zero test settles
+whole subtrees without sweeping them. A variable of degree k, its
+largest total exponent in one word, makes e's value a polynomial of
+degree k in its base-p coordinates, which are its index's digits, and
+such a polynomial vanishes on all of F_p**L once it vanishes at the
+indices whose digits sum to at most k. So before the scan walks the
+trailing block, the last variables without inverses whose sets are
+smaller than the algebra, and before each child inside it, the scan
+enters the block's variables only at those indices: a subtree that
+vanishes there adds its whole size to the count unswept, and the first
+child that does not is the one that holds the first hit. Either way
+the count is the hit's position in canonical order, so neither the row
+nor the zero test changes witness or count.
 """
 
 import functools
@@ -58,6 +69,7 @@ import os
 import random
 import time
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import CapExceeded, LpiLabError, PreconditionError, SolveError
 from .freegroup import Word
@@ -234,13 +246,19 @@ def _linear_row(start, steps, p):
     r[b] = steps[t][r[b - p**t]] for p**t <= b < p**(t+1), so t is the
     place of b's highest nonzero base-p digit and b - p**t lowers that
     digit by one. Each block of p**t entries thus comes from the block
-    before it in one pass. The row is allocated at its final length."""
+    before it in one pass, gathered by one itemgetter call; the blocks of
+    one entry are filled by hand, since itemgetter of one item returns
+    the item rather than a tuple. The row is allocated at its final
+    length."""
     row = [start] * p ** len(steps)
     w = 1
     for step in steps:
-        get = step.__getitem__
-        for b in range(w, p * w, w):
-            row[b:b + w] = map(get, row[b - w:b])
+        if w == 1:
+            for b in range(1, p):
+                row[b] = step[row[b - 1]]
+        else:
+            for b in range(w, p * w, w):
+                row[b:b + w] = itemgetter(*row[b - w:b])(step)
         w *= p
     return row
 
@@ -309,14 +327,44 @@ class _Tables:
 # the exhaustive scan
 
 
-def _affine_in(e, g):
-    """Whether every word of e holds the generator g at most once, and only
-    as g^1, so that e's value is an affine function of g's value."""
+def _degree(e, g):
+    """The largest total exponent that the generator g has in one word of
+    e, or None when some word holds g with a negative exponent. Each
+    occurrence of g is linear in g's value, so e's value is a polynomial
+    of this degree in the coordinates of g's value; e is affine in g when
+    the degree is at most 1."""
+    degree = 0
     for w in e.terms:
-        exponents = [x for h, x in w.syllables if h == g]
-        if exponents and exponents != [1]:
-            return False
-    return True
+        total = 0
+        for h, x in w.syllables:
+            if h == g:
+                if x < 0:
+                    return None
+                total += x
+        degree = max(degree, total)
+    return degree
+
+
+def _trailing_block(tb, e):
+    """The zero test's sets, {depth: indices}, for the longest run of e's
+    last variables that have no inverse and whose set is smaller than the
+    algebra: a variable of degree k gets the indices whose base-p digit
+    sum is at most k. Empty when the run has fewer than two variables,
+    where the row leaf already does the work."""
+    p, n = tb.p, tb.n
+    digit_sum = [0] * n
+    for i in range(1, n):
+        digit_sum[i] = digit_sum[i // p] + i % p
+    sets = {}
+    for d, g in reversed(list(enumerate(sorted(e.variables())))):
+        k = _degree(e, g)
+        if k is None:
+            break
+        indices = [i for i in range(n) if digit_sum[i] <= k]
+        if len(indices) >= n:
+            break
+        sets[d] = indices
+    return sets if len(sets) >= 2 else {}
 
 
 def _scan(tb, e, ground, outer_range):
@@ -331,7 +379,36 @@ def _scan(tb, e, ground, outer_range):
     the leaf enters only index 0 and the L basis indices and builds the
     row from them by linearity, as _Tables builds its mul rows; otherwise
     it enters every position in turn. Both leaves count every position up
-    to the hit, so the count does not depend on the leaf."""
+    to the hit, so the count does not depend on the leaf.
+
+    On the elements ground a zero test settles whole subtrees of the
+    trailing block (_trailing_block) without sweeping them. Fix every
+    other variable and take a block variable g of degree k. An index's L
+    base-p digits are the coordinates of its element in the basis e_t,
+    whose index is p**t, and each of the at most k occurrences of g in a
+    word is linear in those coordinates, so e's value is a polynomial map
+    of degree at most k in them. As a function on F_p**L it keeps that
+    degree when every exponent is reduced below p (z**p = z), and the
+    monomials left are z**a with a in the lower set D_k of digit vectors
+    whose sum is at most k. Newton interpolation on a lower set makes
+    evaluation on D_k one-to-one on their span: a polynomial of that kind
+    that vanishes on D_k vanishes on all of F_p**L, and D_k is the set of
+    indices with digit sum at most k. Applied one variable at a time, from
+    the last, e vanishes on every tuple of a subtree of the block once it
+    vanishes where each block variable takes the indices of its own D_k.
+    For k = 1, D_1 is 0 and the basis indices, the row leaf's rule. So the
+    scan tests a subtree before it walks the block's first variable, and
+    tests each child of a block variable before it descends: the test
+    enters the block's variables only at their D_k and stops at the first
+    nonzero value. A subtree that vanishes adds its whole size to the
+    count and is skipped; one that does not holds a nonzero tuple, so the
+    first child that fails its test holds the subtree's first hit, and the
+    scan descends into that child alone. Witness and count stay those of
+    the full sweep. A worker's chunk of the first variable takes the same
+    test, since vanishing on the whole space implies vanishing on the
+    chunk. A variable with an inverse, or whose D_k is all of F_p**L,
+    ends the block; on the units ground, whose subtrees the D_k do not
+    lie in, the scan sweeps as above."""
     nvars, enter, value = _staged_program(tb, e)
     ZERO = tb.zero
     if nvars == 0:
@@ -341,6 +418,11 @@ def _scan(tb, e, ground, outer_range):
     last = nvars - 1
     evaluations = 0
     ADD, NEG, p, basis = tb.add, tb.neg, tb.p, tb.weights
+    # on the elements ground, where a position is its own index
+    sets = _trailing_block(tb, e) if len(ground) == tb.n else {}
+    block = min(sets, default=nvars)
+    # size[d]: the tuples of a subtree that enters the variables from d on
+    size = [len(ground) ** (nvars - d) for d in range(nvars + 1)]
 
     def by_position(positions):
         for count, pos in enumerate(positions, 1):
@@ -366,7 +448,16 @@ def _scan(tb, e, ground, outer_range):
         pos = next(itertools.compress(positions, values), None)
         return pos, len(positions) if pos is None else positions.index(pos) + 1
 
-    leaf = by_row if _affine_in(e, max(e.variables())) else by_position
+    leaf = by_row if _degree(e, max(e.variables())) == 1 else by_position
+
+    def vanishes(d):
+        """Whether e is zero at every tuple of sets[d] x ... x sets[last],
+        the variables before d as entered, stopping at the first nonzero."""
+        for idx in sets[d]:
+            enter(d, idx)
+            if (value() != ZERO) if d == last else not vanishes(d + 1):
+                return False
+        return True
 
     def rec(d, positions):
         nonlocal evaluations
@@ -377,12 +468,21 @@ def _scan(tb, e, ground, outer_range):
                 return False
             assign[d] = ground[pos]
             return True
+        if d == block and vanishes(d):
+            evaluations += len(positions) * size[d + 1]
+            return False
         for pos in positions:
             idx = ground[pos]
             assign[d] = idx
             enter(d, idx)
+            if d >= block and vanishes(d + 1):
+                evaluations += size[d + 1]
+                continue
             if rec(d + 1, everywhere):
                 return True
+            if d >= block:
+                raise SolveError("the zero test found a value the scan did not; "
+                                 "implementation bug")
         return False
 
     everywhere = range(len(ground))

@@ -265,10 +265,15 @@ def standard_polynomial(n, ring=ZZ, cap=STANDARD_CAP):
     # distinct permutations give distinct reduced words and every sign is
     # a nonzero ring scalar, so the terms need no collecting or checking
     signs = (ring.from_int(1), ring.from_int(-1))
-    terms = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        inversions = sum([a > b for a, b in itertools.combinations(perm, 2)])
-        terms[Word._trusted(tuple([(g, 1) for g in perm]))] = signs[inversions % 2]
+    # permutations come in lexicographic order, where the i-th one's digits
+    # in factorial base (its Lehmer code) sum to its inversions: the
+    # parities on r letters are r blocks of those on r - 1 letters, one per
+    # first letter, the d-th block flipped when its leading digit d is odd
+    parities = [0]
+    for r in range(2, n + 1):
+        parities = [q ^ (d & 1) for d in range(r) for q in parities]
+    terms = {Word._trusted(tuple([(g, 1) for g in perm])): signs[parity]
+             for perm, parity in zip(itertools.permutations(range(1, n + 1)), parities)}
     return LaurentElement._trusted(ring, terms)
 
 

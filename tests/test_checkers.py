@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import itertools
 import os
 import pickle
@@ -174,6 +175,31 @@ def test_tables_cross_check_catches_a_broken_recurrence(monkeypatch):
         tb = checkers._Tables(parse_algebra(descriptor))
         with pytest.raises(AssertionError):
             _assert_tables_match(tb, [(a, b) for a in range(tb.n) for b in range(tb.n)])
+
+
+def _map_linear_row(start, steps, p):
+    """_linear_row as a block loop of one method-wrapper call per entry,
+    the reference its itemgetter gathers must match."""
+    row = [start] * p ** len(steps)
+    w = 1
+    for step in steps:
+        for b in range(w, p * w, w):
+            row[b:b + w] = map(step.__getitem__, row[b - w:b])
+        w *= p
+    return row
+
+
+def test_linear_row_is_the_map_loop():
+    rng = random.Random(20)
+    for p in (2, 3, 5, 7, 17):
+        # rows up to the table cap
+        for L in itertools.takewhile(lambda L: p**L <= checkers.TABLE_CAP, range(10)):
+            n = p**L
+            for _ in range(3):
+                steps = [[rng.randrange(n) for _ in range(n)] for _ in range(L)]
+                start = rng.randrange(n)
+                assert checkers._linear_row(start, steps, p) == \
+                    _map_linear_row(start, steps, p), (p, L)
 
 
 COMMUTATOR = parse_element("x1*x2-x2*x1")
@@ -391,7 +417,7 @@ def _scan_cases(draw, affine):
 def test_scan_is_the_per_tuple_sweep_on_affine_elements(case):
     tb, e, ground, last = case
     assume(last in e.variables())
-    assert checkers._affine_in(e, last)
+    assert checkers._degree(e, last) == 1
     _assert_scan_is_the_sweep(tb, e, ground)
 
 
@@ -400,7 +426,7 @@ def test_scan_is_the_per_tuple_sweep_on_affine_elements(case):
 def test_scan_is_the_per_tuple_sweep_on_other_elements(case):
     tb, e, ground, last = case
     # unless the words that break affinity cancel, the per-position leaf runs
-    assume(not checkers._affine_in(e, last))
+    assume(checkers._degree(e, last) not in (0, 1))
     _assert_scan_is_the_sweep(tb, e, ground)
 
 
@@ -420,6 +446,151 @@ def test_scan_cross_check_catches_a_broken_row(monkeypatch):
                 # the tables are built, so the mutation reaches only the scan
                 monkeypatch.setattr(checkers, "_linear_row", mutation(tb))
                 _assert_scan_is_the_sweep(tb, e, _ground(tb, kind))
+        monkeypatch.undo()
+
+
+@st.composite
+def _zero_test_cases(draw):
+    """(tables, element) on one of SCAN_ALGEBRAS over F_2, F_3 or F_5: 2 to
+    4 variables, each of degree 1 to 3, the first word holding every
+    variable at its degree. Constant terms, scalar multiples (p among
+    them) and mirrored terms come at times, so that some elements hold."""
+    descriptor = draw(st.sampled_from(
+        [d for d in SCAN_ALGEBRAS if parse_algebra(d).ring.p in (2, 3, 5)]))
+    tb = _scan_tables(descriptor)
+    # at most 65,536 tuples, so the per-tuple sweep stays quick
+    nvars = draw(st.integers(2, 4 if tb.n <= 16 else 3 if tb.n <= 27 else 2))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    pool = [g for g, k in enumerate(degrees, 1) for _ in range(k)]
+    words = [draw(st.permutations(pool))]
+    for _ in range(draw(st.integers(0, 3))):
+        letters = draw(st.permutations(pool))
+        words.append(letters[:draw(st.integers(0, len(letters)))])
+    coefficients = draw(st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=len(words),
+                                 max_size=len(words)))
+    terms = [(Word([(g, 1) for g in w]), c) for w, c in zip(words, coefficients)]
+    if draw(st.booleans()):
+        # each word minus its mirror image: zero on the diagonal algebras
+        terms += [(Word([(g, 1) for g in reversed(w)]), -c) for w, c in zip(words, coefficients)]
+    if draw(st.booleans()):
+        terms.append((Word(), draw(st.integers(1, 3))))
+    e = LaurentElement(ZZ, terms)
+    if draw(st.booleans()):
+        e = e.scale(draw(st.sampled_from([tb.p, 2, -1])))
+    return tb, e
+
+
+@settings(max_examples=100, deadline=None)
+@given(_zero_test_cases())
+def test_zero_test_is_the_per_tuple_sweep(case):
+    tb, e = case
+    _assert_scan_is_the_sweep(tb, e, _ground(tb, "elements"))
+
+
+# (algebra, element, ground), among them a hit behind skipped subtrees, a
+# block below a variable of full degree, elements that hold, and one that
+# vanishes on the units but not at the indices of the zero test
+ZERO_TEST_CASES = [
+    ("M2@Fp:2", "S(3)", "elements"),
+    ("M2@Fp:2", "x1^4*x2*x3-x1^4*x3*x2", "elements"),
+    ("T3@Fp:2", "x1*x2*x1*x2-x2*x1*x2*x1", "elements"),
+    ("T2@Fp:5", "x1*x2^2-x2^2*x1+x2*x1*x2-x2^2*x1", "elements"),
+    ("D3@Fp:3", "x1*x2^3-x2^3*x1", "elements"),
+    ("D3@Fp:3", "x1*x2^2-x1", "units"),
+]
+
+SQUARE = parse_element("(x1*x2-x2*x1)^2*x3-x3*(x1*x2-x2*x1)^2")
+
+
+def _block_sizes(descriptor, expr):
+    tb = _scan_tables(descriptor)
+    return {d: len(s) for d, s in checkers._trailing_block(tb, parse_element(expr)).items()}
+
+
+def test_trailing_block_takes_the_digit_sum_sets():
+    assert _block_sizes("M2@Fp:2", "S(4)") == {0: 5, 1: 5, 2: 5, 3: 5}
+    assert _block_sizes("M2@Fp:3", SQUARE.format()) == {0: 15, 1: 15, 2: 5}
+    # x1^4 takes every digit sum of M2(F_2), so the block starts at x2
+    assert _block_sizes("M2@Fp:2", "x1^4*x2*x3-x1^4*x3*x2") == {1: 5, 2: 5}
+    # an inverse of x2 ends the block; a block of one variable is none
+    assert _block_sizes("M2@Fp:3", "x1*x2^-1*x3*x4-x4*x3*x2^-1*x1") == {2: 5, 3: 5}
+    assert _block_sizes("M2@Fp:3", "x1*x2*x3^-1-x3^-1*x2*x1") == {}
+    assert _block_sizes("M2@Fp:3", "x1*x2^2-x2^2*x1") == {0: 5, 1: 15}
+
+
+def _counted_entries(monkeypatch):
+    """Wrap the scan's programs so that every enter is counted in the list
+    returned, whose one item is the count."""
+    staged = group_algebra._staged_program
+    entries = [0]
+
+    def counted(ops, e):
+        nvars, enter, value = staged(ops, e)
+
+        def counted_enter(d, idx):
+            entries[0] += 1
+            enter(d, idx)
+
+        return nvars, counted_enter, value
+
+    monkeypatch.setattr(checkers, "_staged_program", counted)
+    return entries
+
+
+# (algebra, element, tuple space, entries): the zero test settles S_4 on
+# M_2(F_2) in the 5**4 tuples of its sets and the commutator square on
+# M_2(F_3) in 15 * 15 * 5, with the entries above them, where the full
+# sweep takes 24,848 and 39,447 entries
+WORK_PINS = [("M2@Fp:2", "S(4)", 16**4, 780), ("M2@Fp:3", SQUARE.format(), 81**3, 1365)]
+
+
+def _assert_work_is_pinned(monkeypatch, descriptor, expr, space, bound):
+    entries = _counted_entries(monkeypatch)
+    v = check_lpi(parse_algebra(descriptor), parse_element(expr))
+    assert v.holds() and v.evaluations == space
+    assert entries[0] <= bound, (descriptor, entries[0])
+
+
+@pytest.mark.parametrize("descriptor, expr, space, bound", WORK_PINS)
+def test_zero_test_pins_the_work(monkeypatch, descriptor, expr, space, bound):
+    _assert_work_is_pinned(monkeypatch, descriptor, expr, space, bound)
+
+
+def _mutated(fn, old, new):
+    """fn compiled again from its source with old, which must occur there
+    once, replaced by new, over the globals of its module."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, (fn.__name__, old)
+    scope = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, scope)
+    return scope[fn.__name__]
+
+
+def test_zero_test_cross_check_catches_a_broken_test(monkeypatch):
+    cases = [(_scan_tables(d), parse_element(expr), kind) for d, expr, kind in ZERO_TEST_CASES]
+    mutations = [
+        # the digit-sum bound off by one, either way
+        (checkers._trailing_block, "digit_sum[i] <= k", "digit_sum[i] < k"),
+        (checkers._trailing_block, "digit_sum[i] <= k", "digit_sum[i] <= k + 1"),
+        # a variable with an inverse admitted at its exponents' sizes; the
+        # scan meets no inverse on the elements ground, so the block shows it
+        (checkers._degree, "return None", "x = -x"),
+        # a skipped child, or a skipped chunk, adds the wrong size
+        (checkers._scan, "evaluations += size[d + 1]", "evaluations += size[d + 2]"),
+        (checkers._scan, "len(positions) * size[d + 1]", "size[d]"),
+        # the zero test on the units ground
+        (checkers._scan, " if len(ground) == tb.n else {}", ""),
+    ]
+    for fn, old, new in mutations:
+        mutant = _mutated(fn, old, new)
+        with pytest.raises((AssertionError, SolveError)):
+            monkeypatch.setattr(checkers, fn.__name__, mutant)
+            test_trailing_block_takes_the_digit_sum_sets()
+            for tb, e, kind in cases:
+                _assert_scan_is_the_sweep(tb, e, _ground(tb, kind))
+            for pin in WORK_PINS:
+                _assert_work_is_pinned(monkeypatch, *pin)
         monkeypatch.undo()
 
 
