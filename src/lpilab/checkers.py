@@ -39,27 +39,20 @@ runs in one process, which gives the same verdict.
 One sweep, `_scan`, owns that order for every element. At each tuple it
 computes the element's value exactly, by the element's staged program,
 which computes each sub-polynomial once per tuple of the variables it
-reads rather than at every leaf. The innermost variable is resolved a
-row at a time. When every word of the element holds the last variable
-at most once, and only as x^1, the value is an affine function f of
-that variable, so f(x + e_t) = f(x) + f(e_t) - f(0) for each basis
-element e_t. An index is a sum of digit times e_t, so the row of N
-values follows from f(0) and the L values f(e_t) by the recurrence that
-builds the tables' mul rows: L + 1 evaluations instead of N, and none
-past f(0) when all of them are zero. Other elements are evaluated at
-every position of the row. On the elements ground a zero test settles
-whole subtrees without sweeping them. A variable of degree k, its
-largest total exponent in one word, makes e's value a polynomial of
-degree k in its base-p coordinates, which are its index's digits, and
-such a polynomial vanishes on all of F_p**L once it vanishes at the
-indices whose digits sum to at most k. So before the scan walks the
-trailing block, the last variables without inverses whose sets are
-smaller than the algebra, and before each child inside it, the scan
-enters the block's variables only at those indices: a subtree that
-vanishes there adds its whole size to the count unswept, and the first
-child that does not is the one that holds the first hit. Either way
-the count is the hit's position in canonical order, so neither the row
-nor the zero test changes witness or count.
+reads rather than at every leaf. One zero test settles whole subtrees
+without sweeping them, on the elements and on the units alike. A
+variable of degree k, its largest total exponent in one word, makes e's
+value a polynomial of degree k in its base-p coordinates, which are its
+index's digits, and such a polynomial vanishes on all of F_p**L once it
+vanishes at the indices whose digits sum to at most k: for an element
+affine in the variable, at 0 and the L basis elements. So before the
+scan walks any subtree of the trailing block, the last variables
+without inverses whose sets are smaller than the algebra, it enters the
+block's variables only at those indices, and a subtree that vanishes
+there adds its whole size to the count unswept. A subtree that does not
+is walked a child at a time and its last variable position by position,
+up to the first hit, so the count is the hit's position in canonical
+order and the zero test changes neither witness nor count.
 """
 
 import functools
@@ -279,9 +272,8 @@ class _Tables:
     a*e_t: a*b = a*(b - p**t) + a*e_t. a -> a*e_t is linear as well, so
     the column of the products a*e_t over every a follows in the same way
     from the L products e_s*e_t. Building the tables therefore costs L**2
-    matrix products and O(N**2) list steps. `p` and the basis indices
-    `weights` stay, so that `_scan` builds the rows of an affine element by
-    the same recurrence. `neg` is read off `add`, and `inverse` off `mul`:
+    matrix products and O(N**2) list steps. `neg` is read off `add`, and
+    `inverse` off `mul`:
     in a finite-dimensional algebra a one-sided inverse is two-sided, so a
     is a unit of the algebra exactly when its `mul` row holds the identity.
     Every entry is an item of one shared list of the N indices.
@@ -300,7 +292,7 @@ class _Tables:
         self.index = dict(zip(self.elements, ids))
         self.p = p = algebra.ring.p
         # weights[t] = p**t, the index of the basis element e_t
-        self.weights = weights = [ids[p**t] for t in range(len(algebra.positions()))]
+        weights = [ids[p**t] for t in range(len(algebra.positions()))]
         # bumps[t][x]: x with its digit of weight p**t raised by one, mod p
         bumps = [[ids[x - (p - 1) * w if x // w % p == p - 1 else x + w] for x in ids]
                  for w in weights]
@@ -349,8 +341,7 @@ def _trailing_block(tb, e):
     """The zero test's sets, {depth: indices}, for the longest run of e's
     last variables that have no inverse and whose set is smaller than the
     algebra: a variable of degree k gets the indices whose base-p digit
-    sum is at most k. Empty when the run has fewer than two variables,
-    where the row leaf already does the work."""
+    sum is at most k. Empty when the last variable ends the run."""
     p, n = tb.p, tb.n
     digit_sum = [0] * n
     for i in range(1, n):
@@ -364,7 +355,7 @@ def _trailing_block(tb, e):
         if len(indices) >= n:
             break
         sets[d] = indices
-    return sets if len(sets) >= 2 else {}
+    return sets
 
 
 def _scan(tb, e, ground, outer_range):
@@ -374,41 +365,36 @@ def _scan(tb, e, ground, outer_range):
     restricts the first variable's positions within ground, so workers can
     split the space without changing the order.
 
-    The recursion enters the variables but the last; a leaf then resolves
-    the last variable's whole row. When e is affine in the last variable
-    the leaf enters only index 0 and the L basis indices and builds the
-    row from them by linearity, as _Tables builds its mul rows; otherwise
-    it enters every position in turn. Both leaves count every position up
-    to the hit, so the count does not depend on the leaf.
-
-    On the elements ground a zero test settles whole subtrees of the
-    trailing block (_trailing_block) without sweeping them. Fix every
-    other variable and take a block variable g of degree k. An index's L
-    base-p digits are the coordinates of its element in the basis e_t,
-    whose index is p**t, and each of the at most k occurrences of g in a
-    word is linear in those coordinates, so e's value is a polynomial map
-    of degree at most k in them. As a function on F_p**L it keeps that
-    degree when every exponent is reduced below p (z**p = z), and the
-    monomials left are z**a with a in the lower set D_k of digit vectors
-    whose sum is at most k. Newton interpolation on a lower set makes
-    evaluation on D_k one-to-one on their span: a polynomial of that kind
-    that vanishes on D_k vanishes on all of F_p**L, and D_k is the set of
-    indices with digit sum at most k. Applied one variable at a time, from
+    A zero test settles whole subtrees of the trailing block
+    (_trailing_block) without sweeping them. Fix every other variable and
+    take a block variable g of degree k. An index's L base-p digits are
+    the coordinates of its element in the basis e_t, whose index is p**t,
+    and each of the at most k occurrences of g in a word is linear in
+    those coordinates, so e's value is a polynomial map of degree at most
+    k in them. As a function on F_p**L it keeps that degree when every
+    exponent is reduced below p (z**p = z), and the monomials left are
+    z**a with a in the lower set D_k of digit vectors whose sum is at most
+    k. Newton interpolation on a lower set makes evaluation on D_k
+    one-to-one on their span: a polynomial of that kind that vanishes on
+    D_k vanishes on all of F_p**L, and D_k is the set of indices with
+    digit sum at most k; D_1 is 0 and the basis indices, so an element
+    affine in g needs L + 1 of them. Applied one variable at a time, from
     the last, e vanishes on every tuple of a subtree of the block once it
     vanishes where each block variable takes the indices of its own D_k.
-    For k = 1, D_1 is 0 and the basis indices, the row leaf's rule. So the
-    scan tests a subtree before it walks the block's first variable, and
-    tests each child of a block variable before it descends: the test
-    enters the block's variables only at their D_k and stops at the first
-    nonzero value. A subtree that vanishes adds its whole size to the
-    count and is skipped; one that does not holds a nonzero tuple, so the
-    first child that fails its test holds the subtree's first hit, and the
-    scan descends into that child alone. Witness and count stay those of
-    the full sweep. A worker's chunk of the first variable takes the same
-    test, since vanishing on the whole space implies vanishing on the
-    chunk. A variable with an inverse, or whose D_k is all of F_p**L,
-    ends the block; on the units ground, whose subtrees the D_k do not
-    lie in, the scan sweeps as above."""
+
+    So the scan tests every subtree of the block before it walks it: the
+    test enters the block's variables only at their D_k and stops at the
+    first nonzero value, and a subtree that vanishes adds its whole size
+    to the count unswept. The block's variables have no inverse, so the
+    test holds on both grounds: a subtree that vanishes on all of the
+    algebra vanishes on the units. Elsewhere the scan walks the subtree a
+    child at a time and the last variable position by position, counting
+    every position up to the hit, so witness and count stay those of the
+    full sweep. On the elements ground a subtree that fails its test holds
+    a nonzero tuple, and a miss there is an implementation bug, unless the
+    subtree is a worker's chunk of the first variable, which takes the
+    test of the whole range. On the units ground a subtree that fails its
+    test may still vanish on the units, and the scan sweeps it."""
     nvars, enter, value = _staged_program(tb, e)
     ZERO = tb.zero
     if nvars == 0:
@@ -417,38 +403,12 @@ def _scan(tb, e, ground, outer_range):
     assign = [0] * nvars
     last = nvars - 1
     evaluations = 0
-    ADD, NEG, p, basis = tb.add, tb.neg, tb.p, tb.weights
-    # on the elements ground, where a position is its own index
-    sets = _trailing_block(tb, e) if len(ground) == tb.n else {}
+    sets = _trailing_block(tb, e)
     block = min(sets, default=nvars)
+    # on the elements ground, where a position is its own index
+    elements = len(ground) == tb.n
     # size[d]: the tuples of a subtree that enters the variables from d on
     size = [len(ground) ** (nvars - d) for d in range(nvars + 1)]
-
-    def by_position(positions):
-        for count, pos in enumerate(positions, 1):
-            enter(last, ground[pos])
-            if value() != ZERO:
-                return pos, count
-        return None, len(positions)
-
-    def by_row(positions):
-        # index b is the sum of digit_t * e_t, and f(x + e_t) = f(x) + f(e_t) - f(0)
-        enter(last, ZERO)
-        f0 = value()
-        images = []
-        for b in basis:
-            enter(last, b)
-            images.append(value())
-        # index 0 is zero, the only false index: the identity holds on the row
-        if not f0 and not any(images):
-            return None, len(positions)
-        minus_f0 = NEG[f0]
-        row = _linear_row(f0, [ADD[ADD[f][minus_f0]] for f in images], p)
-        values = map(row.__getitem__, ground[positions.start:positions.stop])
-        pos = next(itertools.compress(positions, values), None)
-        return pos, len(positions) if pos is None else positions.index(pos) + 1
-
-    leaf = by_row if _degree(e, max(e.variables())) == 1 else by_position
 
     def vanishes(d):
         """Whether e is zero at every tuple of sets[d] x ... x sets[last],
@@ -461,28 +421,28 @@ def _scan(tb, e, ground, outer_range):
 
     def rec(d, positions):
         nonlocal evaluations
-        if d == last:
-            pos, count = leaf(positions)
-            evaluations += count
-            if pos is None:
-                return False
-            assign[d] = ground[pos]
-            return True
-        if d == block and vanishes(d):
+        if d >= block and vanishes(d):
             evaluations += len(positions) * size[d + 1]
             return False
-        for pos in positions:
-            idx = ground[pos]
-            assign[d] = idx
-            enter(d, idx)
-            if d >= block and vanishes(d + 1):
-                evaluations += size[d + 1]
-                continue
-            if rec(d + 1, everywhere):
-                return True
-            if d >= block:
-                raise SolveError("the zero test found a value the scan did not; "
-                                 "implementation bug")
+        if d == last:
+            for count, pos in enumerate(positions, 1):
+                enter(d, ground[pos])
+                if value() != ZERO:
+                    evaluations += count
+                    assign[d] = ground[pos]
+                    return True
+            evaluations += len(positions)
+        else:
+            for pos in positions:
+                idx = ground[pos]
+                assign[d] = idx
+                enter(d, idx)
+                if rec(d + 1, everywhere):
+                    return True
+        # a whole subtree of the elements that failed its test holds a hit
+        if d >= block and elements and len(positions) == len(ground):
+            raise SolveError("the zero test found a value the scan did not; "
+                             "implementation bug")
         return False
 
     everywhere = range(len(ground))
