@@ -25,46 +25,26 @@ search and confirmation never use the same evaluator:
   in a different order, and powers taken another way, than the search.
 
 Exhaustive scans enumerate tuples in row-major order over the canonical
-element enumeration and report the first violation, which makes verdicts
-reproducible and independent of how the work is partitioned: with several
-workers each contiguous chunk of the first variable reports its earliest
-hit, and evaluations are counted only up to the first chunk with a hit.
-The parent forks one child per chunk but the first and scans the first
-chunk itself. A forked child reads the parent's tables and element as
-they are, so nothing is built or pickled again; it sends back only its
-hit and count, marshalled through a pipe. The parent reads the chunks in
-order and stops at the first hit, and it kills and reaps every child it
-has not read, so no process outlives the scan. Without os.fork the scan
-runs in one process, which gives the same verdict.
-One sweep, `_scan`, owns that order for every element. At each tuple it
-computes the element's value exactly, by the element's staged program,
-which computes each sub-polynomial once per tuple of the variables it
-reads rather than at every leaf. One zero test settles whole subtrees
-without sweeping them, on the elements and on the units alike. A
-variable of degree k, its largest total exponent in one word, makes e's
-value a polynomial of degree k in its base-p coordinates, which are its
-index's digits, and such a polynomial vanishes on all of F_p**L once it
-vanishes at the indices whose digits sum to at most k: for an element
-affine in the variable, at 0 and the L basis elements. So before the
-scan walks any subtree of the trailing block, the last variables
-without inverses whose sets are smaller than the algebra, it enters the
-block's variables only at those indices, and a subtree that vanishes
-there adds its whole size to the count unswept. A subtree that does not
-is walked a child at a time and its last variable position by position,
-up to the first hit, so the count is the hit's position in canonical
-order and the zero test changes neither witness nor count.
+element enumeration and report the first violation, so verdicts are
+reproducible. One sweep, `_scan`, owns that order for every element and
+runs once, in the calling process, over the whole ground; the worker
+count is accepted and validated but does not change how a scan runs. At
+each tuple the scan computes the element's value exactly, by the
+element's staged program, which computes each sub-polynomial once per
+tuple of the variables it reads rather than at every leaf. Its digit-sum
+zero test, explained in `_scan`, settles whole subtrees of the trailing
+low-degree variables without sweeping them and changes neither witness
+nor count.
 """
 
 import functools
 import itertools
-import marshal
-import os
 import random
 import time
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import CapExceeded, LpiLabError, PreconditionError, SolveError
+from .errors import CapExceeded, PreconditionError, SolveError
 from .freegroup import Word
 from .group_algebra import (LaurentElement, _staged_program, _value_ops, gi_to_lpi,
                              standard_polynomial)
@@ -358,12 +338,10 @@ def _trailing_block(tb, e):
     return sets
 
 
-def _scan(tb, e, ground, outer_range):
+def _scan(tb, e, ground):
     """Sweep ground**nvars in lexicographic order, returning the first tuple
     of indices where e evaluates to nonzero (None when there is none) and
-    the evaluation count, the hit's position in that order. outer_range
-    restricts the first variable's positions within ground, so workers can
-    split the space without changing the order.
+    the evaluation count, the hit's position in that order.
 
     A zero test settles whole subtrees of the trailing block
     (_trailing_block) without sweeping them. Fix every other variable and
@@ -391,10 +369,9 @@ def _scan(tb, e, ground, outer_range):
     child at a time and the last variable position by position, counting
     every position up to the hit, so witness and count stay those of the
     full sweep. On the elements ground a subtree that fails its test holds
-    a nonzero tuple, and a miss there is an implementation bug, unless the
-    subtree is a worker's chunk of the first variable, which takes the
-    test of the whole range. On the units ground a subtree that fails its
-    test may still vanish on the units, and the scan sweeps it."""
+    a nonzero tuple, and a miss there is an implementation bug. On the
+    units ground a subtree that fails its test may still vanish on the
+    units, and the scan sweeps it."""
     nvars, enter, value = _staged_program(tb, e)
     ZERO = tb.zero
     if nvars == 0:
@@ -405,7 +382,7 @@ def _scan(tb, e, ground, outer_range):
     evaluations = 0
     sets = _trailing_block(tb, e)
     block = min(sets, default=nvars)
-    # on the elements ground, where a position is its own index
+    # on the elements ground, where the zero test is exact
     elements = len(ground) == tb.n
     # size[d]: the tuples of a subtree that enters the variables from d on
     size = [len(ground) ** (nvars - d) for d in range(nvars + 1)]
@@ -419,110 +396,38 @@ def _scan(tb, e, ground, outer_range):
                 return False
         return True
 
-    def rec(d, positions):
+    def rec(d):
         nonlocal evaluations
         if d >= block and vanishes(d):
-            evaluations += len(positions) * size[d + 1]
+            evaluations += size[d]
             return False
         if d == last:
-            for count, pos in enumerate(positions, 1):
-                enter(d, ground[pos])
+            for count, idx in enumerate(ground, 1):
+                enter(d, idx)
                 if value() != ZERO:
                     evaluations += count
-                    assign[d] = ground[pos]
+                    assign[d] = idx
                     return True
-            evaluations += len(positions)
+            evaluations += len(ground)
         else:
-            for pos in positions:
-                idx = ground[pos]
+            for idx in ground:
                 assign[d] = idx
                 enter(d, idx)
-                if rec(d + 1, everywhere):
+                if rec(d + 1):
                     return True
-        # a whole subtree of the elements that failed its test holds a hit
-        if d >= block and elements and len(positions) == len(ground):
+        # a subtree of the elements that failed its test holds a hit
+        if d >= block and elements:
             raise SolveError("the zero test found a value the scan did not; "
                              "implementation bug")
         return False
 
-    everywhere = range(len(ground))
-    return (tuple(assign) if rec(0, outer_range) else None), evaluations
+    return (tuple(assign) if rec(0) else None), evaluations
 
 
-def _scan_in_child(scan, outer_range, write_end):
-    """The whole life of a forked child: scan the range and write
-    marshal.dumps((True, (hit, count))), or (False, "Type: message") when
-    the scan raised, to the pipe. It leaves through os._exit, so it never
-    returns into the parent's code, runs none of its exit handlers and
-    flushes none of its buffers."""
-    status = 1
-    try:
-        try:
-            result = True, scan(outer_range)
-        except Exception as exc:  # handed to the parent, which raises it
-            result = False, f"{type(exc).__name__}: {exc}"
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _forked_scans(scan, ranges):
-    """scan(r) for the ranges in order, up to and including the first
-    result with a hit. This process forks a child for every range but the
-    first and scans the first range itself. It then reads the children in
-    order and stops at the first hit; the children it has not reaped when
-    it returns or raises, whether at a hit, an error or an interrupt, are
-    killed and reaped. A child that raised, or died without a result,
-    raises LpiLabError here."""
-    children = []  # [pid or None, read end of its pipe], in range order
-    try:
-        for r in ranges[1:]:
-            read_end, write_end = os.pipe()
-            child = [None, open(read_end, "rb")]
-            children.append(child)
-            try:
-                child[0] = os.fork()
-                if child[0] == 0:
-                    _scan_in_child(scan, r, write_end)
-            finally:
-                os.close(write_end)
-        results = [scan(ranges[0])]
-        for child in children:
-            if results[-1][0] is not None:
-                break
-            pid, pipe = child
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            child[0] = None
-            if not data:
-                raise LpiLabError(f"a scan worker exited without a result "
-                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
-            ok, result = marshal.loads(data)
-            if not ok:
-                raise LpiLabError(f"a scan worker raised {result}")
-            results.append(result)
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid:
-                from signal import SIGKILL
-
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _run_scan(algebra, e, ground_kind, cap, workers):
-    """Scan the tuple space on the tables. Returns the (hit, evaluations)
-    pair of each chunk in canonical order, up to the first chunk with a
-    hit, a hit being a tuple of matrices, plus the ground size and the
-    tuple space. Chunks split the first variable's positions into
-    contiguous ranges, so the first chunk with a hit holds the earliest
-    one. With several workers the chunks run in forked children of this
-    process, on these very tables."""
+def _run_scan(algebra, e, ground_kind, cap):
+    """Scan the tuple space on the tables. Returns the scan's hit, a tuple
+    of matrices or None, and its evaluations, plus the ground size and the
+    tuple space."""
     tb = _Tables(algebra, cap)
     ground = tb.units if ground_kind == "units" else list(range(tb.n))
     nvars = len(e.variables())
@@ -531,44 +436,31 @@ def _run_scan(algebra, e, ground_kind, cap, workers):
         raise CapExceeded(
             f"tuple space {space} exceeds the cap {cap}; lower the dimension or use random mode"
         )
-    scan = functools.partial(_scan, tb, e, ground)
-    # one process per CPU at most, and one in all without os.fork: the
-    # verdict does not depend on the split
-    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers > 1 and len(ground) >= workers and nvars > 0:
-        bounds = [round(i * len(ground) / workers) for i in range(workers + 1)]
-        ranges = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        chunks = _forked_scans(scan, ranges)
-    else:
-        chunks = [scan(range(len(ground)))]
-    E = tb.elements
-    chunks = [(None if hit is None else tuple(E[i] for i in hit), count)
-              for hit, count in chunks]
-    return chunks, len(ground), space
+    hit, count = _scan(tb, e, ground)
+    if hit is not None:
+        hit = tuple(tb.elements[i] for i in hit)
+    return (hit, count), len(ground), space
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 
 
-def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
-                     details):
+def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, details):
     """The search behind check_lpi, al_verify and check_group_identity: the
     table sweep in exhaustive mode, whose hit takes its value from
     evaluate, or in random mode e's program compiled once over the
     algebra's matrices and run at seeded samples. Either way _plain_eval
     must reproduce the witness's value."""
-    _check_search(mode, budget, workers)
     vars_sorted = sorted(e.variables())
 
     def scan():
-        chunks, ground_size, space = _run_scan(algebra, e, ground_kind, cap, workers)
+        (hit, count), ground_size, space = _run_scan(algebra, e, ground_kind, cap)
         details.update(ground=ground_kind, ground_size=ground_size, tuple_space=space)
-        for hit, count in chunks:
-            if hit is not None:
-                assignment = dict(zip(vars_sorted, hit))
-                hit = {"assignment": assignment, "value": evaluate(e, assignment)}
-            yield hit, count
+        if hit is not None:
+            assignment = dict(zip(vars_sorted, hit))
+            hit = {"assignment": assignment, "value": evaluate(e, assignment)}
+        yield hit, count
 
     if mode == "random":
         inverses, run = e.compiled(algebra.identity())
@@ -619,7 +511,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
                 "prefilter": "coefficient sum is nonzero, the identity tuple violates",
             },
         )
-    return _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, workers,
+    return _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap,
                             {"ground": ground_kind})
 
 
@@ -627,12 +519,13 @@ def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
               cap=DEFAULT_CAP, workers=1):
     """Check the standard identity S_2n on n-by-n matrices over F_p."""
     t0 = time.monotonic()
+    _check_search(mode, budget, workers)
     from .rings import PrimeField
 
     algebra = Algebra("M", n, PrimeField(p))
     k = 2 * n
     return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), "elements",
-                            mode, budget, seed, cap, workers, {"identity": f"S_{k}"})
+                            mode, budget, seed, cap, {"identity": f"S_{k}"})
 
 
 def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
@@ -648,7 +541,7 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
-    v = _identity_search(t0, algebra, gi_to_lpi(w), "units", mode, budget, seed, cap, 1, {})
+    v = _identity_search(t0, algebra, gi_to_lpi(w), "units", mode, budget, seed, cap, {})
     if mode == "exhaustive":
         v.details = {"units": v.details["ground_size"]}
     if v.witness is not None:

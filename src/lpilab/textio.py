@@ -495,7 +495,10 @@ def _add_search_flags(p, workers=True):
     p.add_argument("--budget", type=int, default=checkers.DEFAULT_BUDGET)
     p.add_argument("--cap", type=int, default=None)
     if workers:
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted, at least 1, and echoed in the report's config; "
+                            "a scan always runs in one process (default: "
+                            "LPILAB_WORKERS, else 1)")
 
 
 def build_parser():

@@ -7,7 +7,6 @@ import pickle
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,7 @@ from lpilab.checkers import (
     square_zero_nilpotency,
     vandermonde_nil,
 )
-from lpilab.errors import CapExceeded, LpiLabError, PreconditionError, SolveError
+from lpilab.errors import CapExceeded, PreconditionError, SolveError
 from lpilab.freegroup import Word
 from lpilab.group_algebra import (LaurentElement, OneVarLaurent, _Calls, gi_to_lpi,
                                   standard_polynomial)
@@ -240,7 +239,7 @@ def test_exhaustive_check_gi_keeps_to_the_table_cap():
 
 def _refuse(monkeypatch, program):
     """Make building the named program fail, so a scan or an evaluation
-    that runs it raises, in the parent and in forked workers alike."""
+    that runs it raises."""
     def refused(*args):
         raise AssertionError(f"{program} was built")
 
@@ -289,15 +288,11 @@ def test_subset_dp_matches_term_program(monkeypatch, k, descriptor):
     programs = (lambda tb, e: _standard_program(tb, k),
                 staged,  # the leaf split, which the tables take
                 lambda tb, e: staged(tb, e, last=True))
-    half = round(tb.n / 2)
-    # the whole scan, then split at the first variable as two workers split it
-    for ranges in ([range(tb.n)], [range(half), range(half, tb.n)]):
-        results = []
-        for program in programs:
-            monkeypatch.setattr(checkers, "_staged_program", program)
-            results.append([checkers._scan(tb, standard_polynomial(k), ground, r)
-                            for r in ranges])
-        assert results[0] == results[1] == results[2], ranges
+    results = []
+    for program in programs:
+        monkeypatch.setattr(checkers, "_staged_program", program)
+        results.append(checkers._scan(tb, standard_polynomial(k), ground))
+    assert results[0] == results[1] == results[2]
 
 
 # every enumerable family and p = 2, 3, 5, 7, as in the table tests
@@ -313,30 +308,26 @@ def _ground(tb, kind):
     return tb.units if kind == "units" else list(range(tb.n))
 
 
-def _per_tuple_sweep(tb, e, ground, outer_range):
+def _per_tuple_sweep(tb, e, ground):
     """What _scan must return, from a sweep that enters every variable at
     every tuple and reads each tuple's value on its own."""
     nvars, enter, value = group_algebra._staged_program(tb, e)
     if nvars == 0:
         return (() if value() != tb.zero else None), 1
     count = 0
-    for tup in itertools.product(outer_range, *[range(len(ground))] * (nvars - 1)):
+    for tup in itertools.product(ground, repeat=nvars):
         count += 1
-        for d, pos in enumerate(tup):
-            enter(d, ground[pos])
+        for d, idx in enumerate(tup):
+            enter(d, idx)
         if value() != tb.zero:
-            return tuple(ground[pos] for pos in tup), count
+            return tup, count
     return None, count
 
 
 def _assert_scan_is_the_sweep(tb, e, ground):
-    """The whole scan, and the scan split in two at the first variable as
-    two workers split it, each equal to the per-tuple sweep."""
-    half = len(ground) // 2
-    for ranges in ([range(len(ground))], [range(half), range(half, len(ground))]):
-        for r in ranges:
-            assert checkers._scan(tb, e, ground, r) == _per_tuple_sweep(tb, e, ground, r), \
-                (tb.algebra.descriptor(), e.format(), r)
+    """The scan equals the per-tuple sweep."""
+    assert checkers._scan(tb, e, ground) == _per_tuple_sweep(tb, e, ground), \
+        (tb.algebra.descriptor(), e.format())
 
 
 # (algebra, element, ground); each is affine in its last variable unless
@@ -471,7 +462,7 @@ def test_zero_test_is_the_per_tuple_sweep(case):
 # (algebra, element, ground), among them a hit behind skipped subtrees, a
 # block below a variable of full degree, elements that hold, one that
 # vanishes on the units but not at the indices of the zero test, and one
-# whose first half of x1, a worker's chunk, holds no hit
+# whose first half of x1 holds no hit
 ZERO_TEST_CASES = [
     ("T2@Fp:2", "x1*(x1*x2-x2*x1)", "elements"),
     ("M2@Fp:2", "S(3)", "elements"),
@@ -567,14 +558,11 @@ def test_zero_test_cross_check_catches_a_broken_test(monkeypatch):
         # scan meets no inverse on the elements ground, so the block shows it
         (checkers._degree, "return None", "x = -x"),
         # a skipped subtree adds the wrong size
-        (checkers._scan, "len(positions) * size[d + 1]", "size[d + 1]"),
-        (checkers._scan, "len(positions) * size[d + 1]", "len(positions) * size[d]"),
+        (checkers._scan, "evaluations += size[d]", "evaluations += size[d + 1]"),
         # a hit row counted to its end
-        (checkers._scan, "evaluations += count", "evaluations += len(positions)"),
-        # the cross-check for a worker's chunk, whose test is not exact
-        (checkers._scan, " and len(positions) == len(ground)", ""),
+        (checkers._scan, "evaluations += count", "evaluations += len(ground)"),
         # the cross-check on the units ground, where a failed test holds no hit
-        (checkers._scan, " and elements and", " and"),
+        (checkers._scan, " and elements:", ":"),
     ]
     for fn, old, new in mutations:
         mutant = _mutated(fn, old, new)
@@ -678,10 +666,10 @@ def test_values_take_the_last_syllable_split_and_tables_the_leaf_split():
     assert [_leaf_products(tb, s4, program) for program in programs] == [14, 14, 19]
     assert [_full_pass_counts(s4, T3F2.identity(), program)["mul"]
             for program in programs] == [28, 26, 28]
-    # the tables: a scan, and two workers
-    hit, count = checkers._scan(tb, s4, list(range(tb.n)), range(tb.n))
+    # the tables: a scan, and al_verify
+    hit, count = checkers._scan(tb, s4, list(range(tb.n)))
     assert count == 270609
-    v = al_verify(2, 2, workers=2)
+    v = al_verify(2, 2)
     assert v.holds() and v.evaluations == 65536
     # values: evaluate, which gives an exhaustive hit its value, and random
     # mode
@@ -714,54 +702,6 @@ def test_workers_rebuild_the_element_over_its_own_ring():
     v1, v2 = check_lpi(M2F2, e), check_lpi(M2F2, e, workers=2)
     assert v1.witness == v2.witness and v1.evaluations == v2.evaluations == 289
     assert set(v2.witness["assignment"]) == {1, 2, 3}
-
-
-def test_workers_build_no_tables(monkeypatch):
-    # the parent builds the tables once; forked workers scan that object,
-    # so a second construction anywhere fails the scan
-    built = []
-    init = checkers._Tables.__init__
-
-    def once(self, *args):
-        if built:
-            raise AssertionError("the tables were built twice")
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(checkers._Tables, "__init__", once)
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)  # workers even on one CPU
-    v = check_lpi(M2F2, standard_polynomial(3), workers=2)
-    assert v.outcome == "counterexample" and v.evaluations == 293
-    built.clear()
-    v = al_verify(2, 2, workers=2)
-    assert v.holds() and v.evaluations == 65536
-
-
-SPAWNED_SCAN = """
-import multiprocessing, os
-from lpilab import checkers
-from lpilab.matrix_algebra import parse_algebra
-from lpilab.textio import parse_element
-
-multiprocessing.set_start_method("spawn")
-os.cpu_count = lambda: 2  # workers even on one CPU
-for expr, algebra in (("x1*x2-x2*x1+2*x3", "M2@Fp:2"), ("2*x1*x2-2*x2*x1", "M2@Fp:5")):
-    e, a = parse_element(expr), parse_algebra(algebra)
-    one, two = (checkers.check_lpi(a, e, workers=w) for w in (1, 2))
-    assert (one.outcome, one.witness, one.evaluations) == (
-        two.outcome, two.witness, two.evaluations), (expr, algebra)
-    print(expr, algebra, two.outcome, two.evaluations)
-"""
-
-
-def test_spawned_workers_match_one_process():
-    # the start method no longer matters: a scan forks its workers itself,
-    # so they run the same path under "spawn" as under any other method
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", SPAWNED_SCAN], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout
-    assert out.split("\n")[:2] == ["x1*x2-x2*x1+2*x3 M2@Fp:2 counterexample 289",
-                                   "2*x1*x2-2*x2*x1 M2@Fp:5 counterexample 631"]
 
 
 def test_values_pickle_as_themselves():
@@ -1311,154 +1251,36 @@ def test_workers_below_one_are_refused():
             check_lpi(M2F3, ONE_PLUS_X1, workers=workers)
 
 
-def test_workers_are_bounded_by_the_cpu_count(monkeypatch):
-    # no child is forked: the stand-in records the chunk ranges and scans
-    # them in this process
-    calls = []
-
-    def inline(scan, ranges):
-        calls.append(ranges)
-        return [scan(r) for r in ranges]
-
-    monkeypatch.setattr(checkers, "_forked_scans", inline)
-    one = check_lpi(M2F2, S3)
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 3)
-    many = check_lpi(M2F2, S3, workers=700)
-    # three processes, the parent and two children, and three chunks
-    assert [len(ranges) for ranges in calls] == [3]
-    assert calls[0] == [range(0, 5), range(5, 11), range(11, 16)]
-    assert (many.witness, many.evaluations) == (one.witness, one.evaluations)
-    v = al_verify(1, 3, workers=700)
-    assert calls[-1] == [range(0, 1), range(1, 2), range(2, 3)]
-    assert v.holds() and v.evaluations == 9
-    # an unknown CPU count runs the scan in this process
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: None)
-    again = check_lpi(M2F2, S3, workers=700)
-    assert len(calls) == 2 and again.evaluations == one.evaluations
-
-
-# a hit in each place a two-worker scan can end: S_3 on M_2(F_2) hits in
-# the first chunk, x1*(x2 - x2^2) on T_2(F_2) first at x1 = e11, index 4 of
-# 8, so in the second, and the commutator holds on D_2(F_3)
+# S_3 on M_2(F_2) hits early, x1*(x2 - x2^2) on T_2(F_2) first at x1 = e11,
+# index 4 of 8, and the commutator holds on D_2(F_3)
 T2F2, D2F3 = parse_algebra("T2@Fp:2"), parse_algebra("D2@Fp:3")
 WORKER_ENDS = [(M2F2, S3, "counterexample", 293),
                (T2F2, parse_element("x1*x2-x1*x2^2"), "counterexample", 35),
                (D2F3, COMMUTATOR, "holds", 81)]
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_forked_workers_leave_no_child(monkeypatch):
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
-    forked = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    for algebra, e, outcome, evaluations in WORKER_ENDS:
-        one, two = check_lpi(algebra, e), check_lpi(algebra, e, workers=2)
-        assert (two.outcome, two.evaluations) == (outcome, evaluations)
-        assert two.witness == one.witness and two.evaluations == one.evaluations
-        _assert_no_child()
-    assert len(forked) == 3
-
-
-SLOW_LATER_CHUNKS = """
-import os, time
-from lpilab import checkers
-from lpilab.group_algebra import standard_polynomial
-from lpilab.matrix_algebra import parse_algebra
-
-os.cpu_count = lambda: 2  # workers even on one CPU
-scan = checkers._scan
-
-
-def slow(tb, e, ground, outer_range):
-    if outer_range.start > 0:
-        time.sleep(60)
-    return scan(tb, e, ground, outer_range)
-
-
-checkers._scan = slow
-t0 = time.monotonic()
-v = checkers.check_lpi(parse_algebra("M2@Fp:2"), standard_polynomial(3), workers=2)
-print(v.outcome, v.evaluations, time.monotonic() - t0)
-"""
-
-
-def test_a_hit_in_the_first_chunk_stops_the_others():
-    # the second chunk would take a minute; the parent's hit ends it at once
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", SLOW_LATER_CHUNKS], env=env, check=True,
-                         capture_output=True, text=True, timeout=30).stdout.split()
-    assert out[:2] == ["counterexample", "293"] and float(out[2]) < 10
-
-
-def test_a_failing_worker_raises_its_error(monkeypatch):
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
-    scan = checkers._scan
-
-    def failing(tb, e, ground, outer_range):
-        if outer_range.start > 0:
-            raise ValueError("no second chunk")
-        return scan(tb, e, ground, outer_range)
-
-    monkeypatch.setattr(checkers, "_scan", failing)
-    with pytest.raises(LpiLabError, match="a scan worker raised ValueError: no second chunk"):
-        check_lpi(D2F3, COMMUTATOR, workers=2)
-    _assert_no_child()
-    # a hit in the first chunk never reads the second, as one worker never
-    # scans past the hit
-    assert check_lpi(M2F2, S3, workers=2).evaluations == 293
-    _assert_no_child()
-
-    def dying(tb, e, ground, outer_range):
-        if outer_range.start > 0:
-            os._exit(3)
-        return scan(tb, e, ground, outer_range)
-
-    monkeypatch.setattr(checkers, "_scan", dying)
-    with pytest.raises(LpiLabError, match=r"exited without a result \(exit code 3\)"):
-        check_lpi(D2F3, COMMUTATOR, workers=2)
-    _assert_no_child()
-
-    # an interrupt in the parent's own chunk kills the child that is still
-    # scanning
-    def interrupted(tb, e, ground, outer_range):
-        if outer_range.start == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(checkers, "_scan", interrupted)
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        check_lpi(D2F3, COMMUTATOR, workers=2)
-    assert time.monotonic() - t0 < 30
-    _assert_no_child()
-
-
 def test_workers_without_fork_scan_in_this_process(monkeypatch):
-    monkeypatch.setattr(checkers.os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(checkers, "_forked_scans", lambda *args: pytest.fail("forked"))
-    for algebra, e, outcome, evaluations in WORKER_ENDS:
-        one, two = check_lpi(algebra, e), check_lpi(algebra, e, workers=2)
-        assert (two.outcome, two.evaluations) == (outcome, evaluations)
-        assert two.witness == one.witness
+    # a scan never forks, so every worker count gives one and the same
+    # verdict, elapsed_ms apart
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    cases = WORKER_ENDS + [(M2F2, parse_element("x1*x2-x2*x1+2*x3"), "counterexample", 289)]
+    for algebra, e, outcome, evaluations in cases:
+        verdicts = [check_lpi(algebra, e, workers=workers) for workers in (1, 2, 7)]
+        for v in verdicts:
+            v.elapsed_ms = 0
+        assert verdicts[0] == verdicts[1] == verdicts[2], e.format()
+        assert (verdicts[0].outcome, verdicts[0].evaluations) == (outcome, evaluations)
 
 
 POOL_FREE_CLI = """
 import os, runpy, sys
 
-os.cpu_count = lambda: 2  # workers even on one CPU
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+os.fork = no_fork
 sys.argv = ["lpilab", "check-lpi", "--expr", "x1^17-x1", "--algebra", "D2@Fp:17",
             "--workers", "2"]
 try:
