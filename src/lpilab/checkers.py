@@ -27,14 +27,12 @@ search and confirmation never use the same evaluator:
 Exhaustive scans enumerate tuples in row-major order over the canonical
 element enumeration and report the first violation, so verdicts are
 reproducible. One sweep, `_scan`, owns that order for every element and
-runs once, in the calling process, over the whole ground; the worker
-count is accepted and validated but does not change how a scan runs. At
-each tuple the scan computes the element's value exactly, by the
-element's staged program, which computes each sub-polynomial once per
-tuple of the variables it reads rather than at every leaf. Its digit-sum
-zero test, explained in `_scan`, settles whole subtrees of the trailing
-low-degree variables without sweeping them and changes neither witness
-nor count.
+runs once, in the calling process, over the whole ground. At each tuple
+the scan computes the element's value exactly, by the element's staged
+program, which computes each sub-polynomial once per tuple of the
+variables it reads rather than at every leaf. Its digit-sum zero test,
+explained in `_scan`, settles whole subtrees of the trailing low-degree
+variables without sweeping them and changes neither witness nor count.
 """
 
 import functools
@@ -106,17 +104,15 @@ def _verdict(outcome, t0, **kw):
 # the search layer
 
 
-def _check_search(mode, budget, workers=1):
-    """The only place that accepts or rejects a search's mode, random
-    budget and worker count. A random search needs a budget of at least
-    one draw: with none it would report holds having looked at nothing.
-    Searches with an early answer call it before giving that answer."""
+def _check_search(mode, budget):
+    """The only place that accepts or rejects a search's mode and random
+    budget. A random search needs a budget of at least one draw: with none
+    it would report holds having looked at nothing. Searches with an early
+    answer call it before giving that answer."""
     if mode not in ("exhaustive", "random"):
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "random" and budget < 1:
         raise PreconditionError(f"random mode needs a budget of at least 1, got {budget}")
-    if workers < 1:
-        raise PreconditionError(f"workers must be at least 1, got {workers}")
 
 
 def _draws(mode, exhaustive, sample, budget, seed):
@@ -483,7 +479,7 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, detai
 
 
 def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
-              cap=DEFAULT_CAP, workers=1):
+              cap=DEFAULT_CAP):
     """Does e vanish on every tuple over the algebra?
 
     Words with negative exponents confine the ground set to the units,
@@ -493,7 +489,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     weak empirical sense.
     """
     t0 = time.monotonic()
-    _check_search(mode, budget, workers)
+    _check_search(mode, budget)
     if e.is_zero():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "zero element vanishes identically"})
@@ -516,10 +512,10 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
 
 
 def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
-              cap=DEFAULT_CAP, workers=1):
+              cap=DEFAULT_CAP):
     """Check the standard identity S_2n on n-by-n matrices over F_p."""
     t0 = time.monotonic()
-    _check_search(mode, budget, workers)
+    _check_search(mode, budget)
     from .rings import PrimeField
 
     algebra = Algebra("M", n, PrimeField(p))

@@ -256,12 +256,12 @@ def diagonal_specialize(e):
     return diag, UniPoly._trusted(R, {exp - prof.l: c for exp, c in diag.terms.items()})
 
 
-def standard_polynomial(n, ring=ZZ, cap=STANDARD_CAP):
+def standard_polynomial(n, ring=ZZ):
     """S_n, the alternating sum of all n! products of distinct variables."""
     if n < 1:
         raise PreconditionError("standard polynomial needs n >= 1")
-    if n > cap:
-        raise CapExceeded(f"S_{n} has {n}! terms; cap is n <= {cap}")
+    if n > STANDARD_CAP:
+        raise CapExceeded(f"S_{n} has {n}! terms; cap is n <= {STANDARD_CAP}")
     # distinct permutations give distinct reduced words and every sign is
     # a nonzero ring scalar, so the terms need no collecting or checking
     signs = (ring.from_int(1), ring.from_int(-1))

@@ -4,7 +4,7 @@ Laurent elements.
 
 Enumeration order is row-major lexicographic on the free entries. That
 order is part of the contract: "first counterexample" stays the same
-artifact across runs and across worker counts, so reports can be diffed.
+artifact across runs, so reports can be diffed.
 """
 
 import itertools
@@ -15,6 +15,7 @@ from .rings import PrimeField, _field_for, _invert_square, _kernel, power
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
 INT_SAMPLE_BOUND = 9
+SAMPLE_RETRIES = 256  # draws before a rejection sampler gives up
 
 _FAMILIES = {
     "M": "full",
@@ -313,19 +314,19 @@ class Algebra:
             return rng.randrange(self.ring.p)
         return self.ring.from_int(rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND))
 
-    def sample_unit(self, rng, retries=256):
-        return self.sample_unit_with_inverse(rng, retries)[0]
+    def sample_unit(self, rng):
+        return self.sample_unit_with_inverse(rng)[0]
 
-    def sample_unit_with_inverse(self, rng, retries=256):
+    def sample_unit_with_inverse(self, rng):
         """A random unit, drawn as sample_unit draws it, and its inverse."""
-        for _ in range(retries):
+        for _ in range(SAMPLE_RETRIES):
             m = self.sample_element(rng)
             inv = self.inverse(m)
             if inv is not None:
                 return m, inv
-        raise PreconditionError(f"no unit found in {retries} draws")
+        raise PreconditionError(f"no unit found in {SAMPLE_RETRIES} draws")
 
-    def sample_square_zero(self, rng, retries=256):
+    def sample_square_zero(self, rng):
         """A random m with m*m = 0 that lies in the family.
 
         For the full algebra over a field this uses the rank-one shape
@@ -352,7 +353,7 @@ class Algebra:
             if not m.mul(m).is_zero():
                 raise PreconditionError("square-zero construction failed")
             return m
-        for _ in range(retries):
+        for _ in range(SAMPLE_RETRIES):
             rows = [[R.zero] * n for _ in range(n)]
             for i, j in self.positions():
                 if j > i:
@@ -360,7 +361,7 @@ class Algebra:
             m = Matrix._trusted(R, tuple(map(tuple, rows)))
             if m.mul(m).is_zero():
                 return m
-        raise PreconditionError(f"no square-zero element found in {retries} draws")
+        raise PreconditionError(f"no square-zero element found in {SAMPLE_RETRIES} draws")
 
     def sample_right_annihilator(self, b, rng):
         """A uniform random c in the algebra with b*c = 0. Column j of c,

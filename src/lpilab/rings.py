@@ -304,9 +304,8 @@ class FormalSum:
     compare, hash and print the same. A subclass names its unit monomial
     UNIT and supplies _check_key (validates a monomial or raises),
     _sort_key (the print order), _key_text (the text of a monomial other
-    than UNIT) and _key_mul (the product of two monomials), which mul
-    uses; a subclass whose monomials can multiply to zero writes its own
-    mul instead.
+    than UNIT) and _key_mul (the product of two monomials, or None where
+    it is zero), which mul uses.
 
     The public constructor validates: it checks every key and coerces
     every coefficient. Arithmetic on valid operands builds its result with
@@ -401,6 +400,8 @@ class FormalSum:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = key_mul(k1, k2)
+                if key is None:
+                    continue
                 s = R.add(out.get(key, R.zero), R.mul(c1, c2))
                 if s == R.zero:
                     out.pop(key, None)

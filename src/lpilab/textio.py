@@ -25,14 +25,14 @@ object was produced, 1 means a counterexample was found, 2 means the
 invocation itself was at fault.
 
 A report's config is its subcommand's parsed flags, vars(args) without
-command and handler, after main has filled in --cap and --workers and
-drawn a missing --seed for --mode random. Every handler ends in
-_emit_verdict or _emit_ok and names only the flags its report leaves out
-(omit): parse leaves out expr, annihilator keep_duplicates,
-counterexample --poly count, deg_max and seed, and the random
-counterexample poly. A flag added later therefore shows up in its
-subcommand's config unless its handler omits it; an opt-in flag must be
-omitted if default reports are to stay byte-identical.
+command and handler, after main has filled in --cap and drawn a missing
+--seed for --mode random. Every handler ends in _emit_verdict or _emit_ok
+and names only the flags its report leaves out (omit): parse leaves out
+expr, annihilator keep_duplicates, counterexample --poly count, deg_max
+and seed, and the random counterexample poly. A flag added later
+therefore shows up in its subcommand's config unless its handler omits
+it; an opt-in flag must be omitted if default reports are to stay
+byte-identical.
 """
 
 import argparse
@@ -341,8 +341,7 @@ def _cmd_check_lpi(args):
     algebra = parse_algebra(args.algebra)
     e = parse_element(args.expr, ZZ, "laurent")
     return _emit_verdict(args, checkers.check_lpi(
-        algebra, e, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap,
-        workers=args.workers))
+        algebra, e, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap))
 
 
 def _cmd_check_gi(args):
@@ -357,8 +356,7 @@ def _cmd_al_verify(args):
     if not isinstance(ring, PrimeField):
         raise LpiLabError("al-verify needs a prime field, like Fp:2")
     return _emit_verdict(args, checkers.al_verify(
-        args.n, ring.p, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap,
-        workers=args.workers))
+        args.n, ring.p, mode=args.mode, budget=args.budget, seed=args.seed, cap=args.cap))
 
 
 def _cmd_witness(args):
@@ -495,10 +493,9 @@ def _add_search_flags(p, workers=True):
     p.add_argument("--budget", type=int, default=checkers.DEFAULT_BUDGET)
     p.add_argument("--cap", type=int, default=None)
     if workers:
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=int, default=1,
                        help="accepted, at least 1, and echoed in the report's config; "
-                            "a scan always runs in one process (default: "
-                            "LPILAB_WORKERS, else 1)")
+                            "a scan always runs in one process")
 
 
 def build_parser():
@@ -588,8 +585,8 @@ def main(argv=None):
     try:
         if hasattr(args, "cap") and args.cap is None:
             args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
-        if hasattr(args, "workers") and args.workers is None:
-            args.workers = _env_int("LPILAB_WORKERS", 1)
+        if getattr(args, "workers", 1) < 1:
+            raise LpiLabError(f"workers must be at least 1, got {args.workers}")
         if getattr(args, "mode", None) == "random":
             _resolve_seed(args)
         return args.handler(args)

@@ -2,6 +2,7 @@ import copy
 import functools
 import inspect
 import itertools
+import json
 import os
 import pickle
 import random
@@ -36,7 +37,7 @@ from lpilab.group_algebra import (LaurentElement, OneVarLaurent, _Calls, gi_to_l
 from lpilab.matrix_algebra import Matrix, det, evaluate, matrix_unit, parse_algebra
 from lpilab.quotient_algebra import QuotientElement
 from lpilab.rings import QQ, ZZ, PrimeField, UniPoly, unipoly_eval
-from lpilab.textio import parse_element, parse_word
+from lpilab.textio import main, parse_element, parse_word
 
 f2 = PrimeField(2)
 M2F2 = parse_algebra("M2@Fp:2")
@@ -100,15 +101,6 @@ def test_check_lpi_random_mode_is_seeded():
     assert a.evaluations == b.evaluations
     if a.outcome == "counterexample":
         assert a.witness["assignment"] == b.witness["assignment"]
-
-
-def test_check_lpi_workers_agree_with_single_process():
-    v1 = check_lpi(M2F2, standard_polynomial(3), workers=1)
-    v2 = check_lpi(M2F2, standard_polynomial(3), workers=2)
-    assert v1.outcome == v2.outcome == "counterexample"
-    assert v1.witness["assignment"] == v2.witness["assignment"]
-    # the count is the hit's canonical position, whatever the split
-    assert v1.evaluations == v2.evaluations == 293
 
 
 def test_check_lpi_zero_element():
@@ -698,10 +690,9 @@ def test_compiling_values_never_builds_a_standard_polynomial(monkeypatch):
 
 def test_workers_rebuild_the_element_over_its_own_ring():
     # 2*x3 vanishes mod 2, yet the tuples still have three variables
-    e = parse_element("x1*x2-x2*x1+2*x3")
-    v1, v2 = check_lpi(M2F2, e), check_lpi(M2F2, e, workers=2)
-    assert v1.witness == v2.witness and v1.evaluations == v2.evaluations == 289
-    assert set(v2.witness["assignment"]) == {1, 2, 3}
+    v = check_lpi(M2F2, parse_element("x1*x2-x2*x1+2*x3"))
+    assert v.evaluations == 289
+    assert set(v.witness["assignment"]) == {1, 2, 3}
 
 
 def test_values_pickle_as_themselves():
@@ -730,12 +721,6 @@ def test_al_verify_random():
     v = al_verify(2, 3, mode="random", budget=50, seed=1)
     assert v.holds()
     assert v.evaluations == 50
-
-
-def test_al_verify_workers_match():
-    v = al_verify(2, 2, workers=2)
-    assert v.holds()
-    assert v.evaluations == 65536
 
 
 def test_check_group_identity():
@@ -1146,8 +1131,6 @@ GATE_CASES = [
     ("check_lpi/prefilter", "_plain_eval", _zero_value,
      lambda: check_lpi(M2F2, gi_to_lpi(Word.gen(1, 2)) + LaurentElement.one(ZZ))),
     ("check_lpi/exhaustive", "evaluate", _zero_value, lambda: check_lpi(M2F2, S3)),
-    ("check_lpi/exhaustive/workers", "evaluate", _zero_value,
-     lambda: check_lpi(M2F2, S3, workers=2)),
     ("check_lpi/random", "_plain_eval", _zero_value,
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
     ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
@@ -1240,36 +1223,29 @@ def test_random_mode_refuses_a_budget_below_one():
     assert check_lpi(M2F2, comm, budget=0).witness == check_lpi(M2F2, comm).witness
 
 
-def test_workers_below_one_are_refused():
-    for workers in (0, -3):
-        with pytest.raises(PreconditionError, match="workers must be at least 1"):
-            check_lpi(M2F2, S3, workers=workers)
-        with pytest.raises(PreconditionError, match="workers must be at least 1"):
-            al_verify(1, 2, mode="random", budget=5, seed=1, workers=workers)
-        # an early answer, from the nonzero coefficient sum
-        with pytest.raises(PreconditionError, match="workers must be at least 1"):
-            check_lpi(M2F3, ONE_PLUS_X1, workers=workers)
-
-
 # S_3 on M_2(F_2) hits early, x1*(x2 - x2^2) on T_2(F_2) first at x1 = e11,
 # index 4 of 8, and the commutator holds on D_2(F_3)
-T2F2, D2F3 = parse_algebra("T2@Fp:2"), parse_algebra("D2@Fp:3")
-WORKER_ENDS = [(M2F2, S3, "counterexample", 293),
-               (T2F2, parse_element("x1*x2-x1*x2^2"), "counterexample", 35),
-               (D2F3, COMMUTATOR, "holds", 81)]
+WORKER_ENDS = [("M2@Fp:2", "S(3)", "counterexample", 293),
+               ("T2@Fp:2", "x1*x2-x1*x2^2", "counterexample", 35),
+               ("D2@Fp:3", "x1*x2-x2*x1", "holds", 81)]
 
 
-def test_workers_without_fork_scan_in_this_process(monkeypatch):
-    # a scan never forks, so every worker count gives one and the same
-    # verdict, elapsed_ms apart
+def test_workers_without_fork_scan_in_this_process(monkeypatch, capsys):
+    # a scan never forks, so every --workers gives one and the same report,
+    # config.workers and elapsed_ms apart
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    cases = WORKER_ENDS + [(M2F2, parse_element("x1*x2-x2*x1+2*x3"), "counterexample", 289)]
-    for algebra, e, outcome, evaluations in cases:
-        verdicts = [check_lpi(algebra, e, workers=workers) for workers in (1, 2, 7)]
-        for v in verdicts:
-            v.elapsed_ms = 0
-        assert verdicts[0] == verdicts[1] == verdicts[2], e.format()
-        assert (verdicts[0].outcome, verdicts[0].evaluations) == (outcome, evaluations)
+    for algebra, expr, outcome, evaluations in WORKER_ENDS:
+        reports = []
+        for workers in ("1", "2", "7"):
+            code = main(["check-lpi", "--expr", expr, "--algebra", algebra,
+                         "--workers", workers])
+            report = json.loads(capsys.readouterr().out)
+            assert code == (outcome == "counterexample")
+            assert report["config"].pop("workers") == int(workers)
+            del report["elapsed_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2], expr
+        assert (reports[0]["outcome"], reports[0]["evaluations"]) == (outcome, evaluations)
 
 
 POOL_FREE_CLI = """

@@ -223,7 +223,7 @@ def test_exit_code_two_on_errors():
         assert not out.strip(), argv
 
 
-def test_nothing_to_search_exits_two(monkeypatch):
+def test_nothing_to_search_exits_two():
     # a random search without draws, or a scan without a worker, is refused
     # instead of reporting holds
     cases = [
@@ -231,14 +231,12 @@ def test_nothing_to_search_exits_two(monkeypatch):
          "--budget", "-5", "--seed", "1"],
         ["quotient", "--n", "2", "--samples", "0", "--seed", "1"],
         ["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--workers", "0"],
+        ["al-verify", "--n", "1", "--field", "Fp:2", "--workers", "-3"],
     ]
     for argv in cases:
         code, out, err = run_cli(*argv)
         assert code == 2 and not out.strip(), argv
         assert "at least 1" in err, argv
-    monkeypatch.setenv("LPILAB_WORKERS", "0")
-    code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
-    assert code == 2 and "workers must be at least 1" in err
 
 
 def test_inadmissible_message_mentions_it():
@@ -250,7 +248,7 @@ def test_inadmissible_message_mentions_it():
 SEARCH = {"mode": "exhaustive", "seed": None, "budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP}
 
 # argv -> the config its report carries: the subcommand's flags, with
-# --cap and --workers filled in, less each handler's historical omissions
+# --cap filled in, less each handler's historical omissions
 CONFIGS = [
     (["parse", "--expr", "x1*x2", "--ring", "Fp:3"], {"ring": "Fp:3", "context": "laurent"}),
     (["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--mode", "random", "--seed", "7",
@@ -280,7 +278,6 @@ CONFIGS = [
 @pytest.mark.parametrize("argv, config", CONFIGS, ids=[" ".join(a[:2]) for a, _ in CONFIGS])
 def test_report_config_is_the_subcommands_flags(monkeypatch, argv, config):
     monkeypatch.delenv("LPILAB_CAP", raising=False)
-    monkeypatch.delenv("LPILAB_WORKERS", raising=False)
     code, out, err = run_cli(*argv)
     assert code in (0, 1), err
     assert json.loads(out)["config"] == config
@@ -319,13 +316,16 @@ def test_env_caps_are_honored(monkeypatch):
     monkeypatch.delenv("LPILAB_CAP")
     # a value that is no integer is a usage error: exit 1 would read as
     # "counterexample found"
-    for name in ("LPILAB_CAP", "LPILAB_WORKERS"):
-        for raw in ("abc", "1.5"):
-            with monkeypatch.context() as m:
-                m.setenv(name, raw)
-                code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
-            assert code == 2 and out == ""
-            assert err == f"error: {name} must be an integer, got {raw!r}\n"
+    for raw in ("abc", "1.5"):
+        with monkeypatch.context() as m:
+            m.setenv("LPILAB_CAP", raw)
+            code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
+        assert code == 2 and out == ""
+        assert err == f"error: LPILAB_CAP must be an integer, got {raw!r}\n"
+    # the worker count is a flag only; no environment variable sets it
+    monkeypatch.setenv("LPILAB_WORKERS", "abc")
+    code, out, err = run_cli("al-verify", "--n", "1", "--field", "Fp:2")
+    assert code == 0 and json.loads(out)["config"]["workers"] == 1
 
 
 def test_module_entry_point():
