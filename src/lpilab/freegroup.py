@@ -12,14 +12,20 @@ from .rings import power
 
 
 class Word:
+    """A reduced word. Syllables are immutable tuples, so words share
+    them: the constructor keeps each tuple syllable it does not merge, and
+    a product points at its factors' syllables instead of copying them."""
+
     __slots__ = ("syllables",)
 
     def __init__(self, syllables=()):
         stack = []
-        for gen, exp in syllables:
-            if not isinstance(gen, int) or gen < 1:
+        for syl in syllables:
+            gen, exp = syl
+            # exactly int: a bool equals 0 or 1 but prints as False or True
+            if type(gen) is not int or gen < 1:
                 raise PreconditionError(f"generator index must be a positive integer: {gen!r}")
-            if not isinstance(exp, int):
+            if type(exp) is not int:
                 raise PreconditionError(f"exponent must be an integer: {exp!r}")
             if exp == 0:
                 continue
@@ -29,7 +35,7 @@ class Word:
                 if merged != 0:
                     stack.append((gen, merged))
             else:
-                stack.append((gen, exp))
+                stack.append(syl if type(syl) is tuple else (gen, exp))
         object.__setattr__(self, "syllables", tuple(stack))
 
     @classmethod
@@ -105,9 +111,10 @@ class Word:
             raise PreconditionError("replacement must be a Word")
         out = []
         rep_inv = None
-        for g, e in self.syllables:
+        for syl in self.syllables:
+            g, e = syl
             if g != var:
-                out.append((g, e))
+                out.append(syl)
                 continue
             if e > 0:
                 block = replacement.syllables

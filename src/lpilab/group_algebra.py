@@ -272,8 +272,10 @@ def standard_polynomial(n, ring=ZZ):
     parities = [0]
     for r in range(2, n + 1):
         parities = [q ^ (d & 1) for d in range(r) for q in parities]
-    terms = {Word._trusted(tuple([(g, 1) for g in perm])): signs[parity]
-             for perm, parity in zip(itertools.permutations(range(1, n + 1)), parities)}
+    # every word is a permutation of the same n syllables, shared, not copied
+    syllables = [(g, 1) for g in range(1, n + 1)]
+    terms = {Word._trusted(perm): signs[parity]
+             for perm, parity in zip(itertools.permutations(syllables), parities)}
     return LaurentElement._trusted(ring, terms)
 
 

@@ -591,8 +591,8 @@ def main(argv=None):
             _resolve_seed(args)
         return args.handler(args)
     except ParseError as exc:
-        print(f"error: parse error at line {exc.line} col {exc.col}: {exc}",
-              file=sys.stderr)
+        # the message already ends with the position
+        print(f"error: parse error: {exc}", file=sys.stderr)
         return 2
     except Inadmissible as exc:
         print(f"error: inadmissible input: {exc}", file=sys.stderr)

@@ -25,7 +25,32 @@ def test_constructor_validates():
         Word([(0, 1)])
     with pytest.raises(PreconditionError):
         Word(((1, "2"),))
+    # bool is an int, but x_True would print apart from its equal x1
+    for syllables in (((True, 2),), ((2, True),), ((True, 2), (2, True)), ((1, False),)):
+        with pytest.raises(PreconditionError):
+            Word(syllables)
     assert Word(((1, 0),)) == IDENTITY
+
+
+def test_words_share_their_syllables():
+    a, b = (1, 2), (2, -1)
+    w = Word([a, b])
+    assert w.syllables[0] is a and w.syllables[1] is b
+    # a product and a substitution keep the syllables they do not merge
+    p = w * Word.gen(3)
+    assert p.syllables[0] is a and p.syllables[1] is b
+    assert w.substitute(2, Word.gen(4)).syllables[0] is a
+    # a merge, a list or a tuple subclass makes a new plain tuple
+    merged = Word([a, (1, 1)])
+    assert merged.syllables == ((1, 3),)
+    listed = Word([[1, 2]])
+    assert listed.syllables == ((1, 2),) and type(listed.syllables[0]) is tuple
+
+    class Pair(tuple):
+        pass
+
+    sub = Word([Pair((1, 2))])
+    assert type(sub.syllables[0]) is tuple and sub == listed
 
 
 def test_multiplication_and_inverse():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,28 @@ def test_standard_polynomial_matches_the_reference(ring):
         assert list(e.terms.items()) == list(reference_standard_polynomial(n, ring).terms.items())
         assert list(e.terms) == [Word(tuple((g, 1) for g in perm))
                                  for perm in itertools.permutations(range(1, n + 1))]
+
+
+def test_standard_words_share_their_syllables():
+    s8 = standard_polynomial(8)
+    assert len({id(syl) for w in s8.terms for syl in w.syllables}) == 8
+    # al_f1 multiplies each word by one inverse word, whose letters cancel
+    # whole syllables and make none: x1..x4 and their inverses
+    f1 = al_f1(2)
+    assert len({id(syl) for w in f1.terms for syl in w.syllables}) == 8
+
+
+def test_standard_elements_stay_small():
+    # words that each owned their syllables would hold about 24 MiB for S_8
+    # and 67 MiB for al_f2(4)
+    for build, cap_mib in ((lambda: standard_polynomial(8), 10), (lambda: al_f2(4), 25)):
+        tracemalloc.start()
+        try:
+            element = build()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert element.terms and held < cap_mib * 2**20
 
 
 def old_is_admissible(e):

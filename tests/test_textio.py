@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -221,6 +222,21 @@ def test_exit_code_two_on_errors():
         assert code == 2, argv
         assert err.strip(), argv
         assert not out.strip(), argv
+
+
+def test_parse_error_gives_its_position_once():
+    code, out, err = run_cli("parse", "--expr", "x1^+2")
+    assert (code, out) == (2, "")
+    assert err == "error: parse error: expected INT, found '+' (line 1, column 4)\n"
+
+
+def test_parse_s8_report_is_pinned():
+    # 1 MB of normal form is too big for a golden file; the report has no
+    # elapsed_ms, so its digest is fixed
+    code, out, _ = run_cli("parse", "--expr", "S(8)")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1c37f73ce6c616d83cbdc6563003f7d66f50401ef5d0a417b79c961bdf353d3a")
 
 
 def test_nothing_to_search_exits_two():
