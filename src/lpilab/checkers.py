@@ -39,7 +39,7 @@ import functools
 import itertools
 import random
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import itemgetter
 
 from .errors import CapExceeded, PreconditionError, SolveError
@@ -56,7 +56,8 @@ from .matrix_algebra import (
     matrix_unit,
 )
 from .quotient_algebra import QuotientElement, q_evaluate, sample_element
-from .rings import UniPoly, ZZ, _field_for, _kernel, embed_into, unipoly_eval, vandermonde_solve
+from .rings import (PrimeField, UniPoly, ZZ, _field_for, _kernel, embed_into, unipoly_eval,
+                    vandermonde_solve)
 
 TABLE_CAP = 1024
 DEFAULT_BUDGET = 1000
@@ -232,11 +233,25 @@ def _linear_row(start, steps, p):
     return row
 
 
+class _Rows(dict):
+    """A table whose row a is build(a), built the first time it is read and
+    kept: a read of a built row is a plain dict lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, a):
+        row = self[a] = self.build(a)
+        return row
+
+
 class _Tables:
     """A finite algebra flattened to integer indices.
 
-    Products, sums and negations become single list lookups, which is what
-    lets pure Python sweep tens of thousands of tuples in a second.
+    Products, sums and negations become table lookups, which is what lets
+    pure Python sweep tens of thousands of tuples in a second.
 
     An index is the base-p number whose L digits are the element's free
     entries in `Algebra.positions()` order, the first position most
@@ -247,12 +262,17 @@ class _Tables:
     time. b -> a*b is linear, so a row of `mul` needs only the L products
     a*e_t: a*b = a*(b - p**t) + a*e_t. a -> a*e_t is linear as well, so
     the column of the products a*e_t over every a follows in the same way
-    from the L products e_s*e_t. Building the tables therefore costs L**2
-    matrix products and O(N**2) list steps. `neg` is read off `add`, and
-    `inverse` off `mul`:
-    in a finite-dimensional algebra a one-sided inverse is two-sided, so a
-    is a unit of the algebra exactly when its `mul` row holds the identity.
-    Every entry is an item of one shared list of the N indices.
+    from the L products e_s*e_t. `neg` is linear too: -b = -(b - p**t) +
+    (p - 1)*e_t. `inverse` is read off `mul`: in a finite-dimensional
+    algebra a one-sided inverse is two-sided, so a is a unit of the
+    algebra exactly when its `mul` row holds the identity.
+
+    Building costs L**2 matrix products and O(N*L) list steps up front.
+    `add`, `mul` and `inverse` are _Rows, so a row costs O(N) list steps
+    (a `mul` row the `add` rows it reads as well) the first time it is
+    read, and a scan that stops early pays only for the rows it reached.
+    `units` reads every `inverse` row the first time it is read. Every
+    entry is an item of one shared list of the N indices.
     """
 
     def __init__(self, algebra, cap=DEFAULT_CAP):
@@ -263,8 +283,8 @@ class _Tables:
         self.algebra = algebra
         self.ring = algebra.ring
         self.elements = list(algebra.enumerate_elements(cap))
-        n = len(self.elements)
-        ids = list(range(n))
+        self.n = n = len(self.elements)
+        self.ids = ids = list(range(n))
         self.index = dict(zip(self.elements, ids))
         self.p = p = algebra.ring.p
         # weights[t] = p**t, the index of the basis element e_t
@@ -272,20 +292,26 @@ class _Tables:
         # bumps[t][x]: x with its digit of weight p**t raised by one, mod p
         bumps = [[ids[x - (p - 1) * w if x // w % p == p - 1 else x + w] for x in ids]
                  for w in weights]
-        self.add = [_linear_row(ids[a], bumps, p) for a in ids]
+        self.add = add = _Rows(lambda a: _linear_row(ids[a], bumps, p))
         basis = [self.elements[w] for w in weights]
-        self.zero = ids[0]
+        self.zero = zero = ids[0]
         # columns[t][a] = a*e_t, from the products of the basis
-        columns = [_linear_row(self.zero, [self.add[self.index[s.mul(t)]] for s in basis], p)
+        columns = [_linear_row(zero, [add[self.index[s.mul(t)]] for s in basis], p)
                    for t in basis]
-        self.mul = [_linear_row(self.zero, [self.add[col[a]] for col in columns], p)
-                    for a in ids]
-        self.neg = [ids[row.index(self.zero)] for row in self.add]
-        self.one = self.index[algebra.identity()]
-        self.inverse = [ids[row.index(self.one)] if self.one in row else None
-                        for row in self.mul]
-        self.units = [i for i in ids if self.inverse[i] is not None]
-        self.n = n
+        self.mul = mul = _Rows(
+            lambda a: _linear_row(zero, [add[col[a]] for col in columns], p))
+        self.neg = _linear_row(zero, [add[(p - 1) * w] for w in weights], p)
+        self.one = one = self.index[algebra.identity()]
+
+        def inverse(a):
+            row = mul[a]
+            return ids[row.index(one)] if one in row else None
+
+        self.inverse = _Rows(inverse)
+
+    @functools.cached_property
+    def units(self):
+        return [i for i in self.ids if self.inverse[i] is not None]
 
     def scalar_index(self, ring_value):
         return self.index[self.algebra.identity().scale(ring_value)]
@@ -425,7 +451,7 @@ def _run_scan(algebra, e, ground_kind, cap):
     of matrices or None, and its evaluations, plus the ground size and the
     tuple space."""
     tb = _Tables(algebra, cap)
-    ground = tb.units if ground_kind == "units" else list(range(tb.n))
+    ground = tb.units if ground_kind == "units" else tb.ids
     nvars = len(e.variables())
     space = len(ground) ** nvars if nvars else 1
     if space > cap:
@@ -516,8 +542,6 @@ def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     """Check the standard identity S_2n on n-by-n matrices over F_p."""
     t0 = time.monotonic()
     _check_search(mode, budget)
-    from .rings import PrimeField
-
     algebra = Algebra("M", n, PrimeField(p))
     k = 2 * n
     return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), "elements",
@@ -650,19 +674,15 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
 
     def rows():
         tb = _Tables(algebra, cap)
-        sq0 = [i for i in range(tb.n) if tb.mul[i][i] == tb.zero]
-        pairs = [
-            (b, c)
-            for b in range(tb.n)
-            for c in range(tb.n)
-            if tb.mul[b][c] == tb.zero
-        ]
+        ids = tb.ids
+        sq0 = [i for i in ids if tb.mul[i][i] == tb.zero]
+        pairs = [(b, c) for b in ids for c in ids if tb.mul[b][c] == tb.zero]
         total = len(sq0) * len(pairs) * tb.n
         if total > cap:
             raise CapExceeded(f"{total} quadruples exceed the cap {cap}")
         details.update(square_zero=len(sq0), annihilating_pairs=len(pairs))
         E, MUL = tb.elements, tb.mul
-        indices = [_nil_index(tb, v, hard_bound) for v in range(tb.n)]
+        indices = [_nil_index(tb, v, hard_bound) for v in ids]
         surveys = {}
 
         def quad_at(a, b, c, u):
@@ -846,8 +866,6 @@ def finite_annihilator(algebra, cap=DEFAULT_CAP, merge_duplicates=True):
     kills every product ab with a^2 = b^2 = 0. The verification over all
     such pairs is part of the call; failure would mean a bug, not math.
     """
-    from collections import Counter
-
     elements = list(algebra.enumerate_elements(cap))
     ring = algebra.ring
     occurrences = Counter()
@@ -937,8 +955,6 @@ def s3_expand():
     term by term, with the four-term formula (YX)^2 - X^2Y^2 - YX^2Y +
     XY^2X, over the integers and again mod 2. No equality is asserted;
     the report records whatever the comparison finds."""
-    from .rings import PrimeField
-
     f2 = PrimeField(2)
     xy = Word(((1, 1), (2, 1)))
     expansion = standard_polynomial(3, ZZ).substitute(3, xy)

@@ -288,6 +288,17 @@ def gi_to_lpi(w, ring=ZZ):
     return LaurentElement(ring, [(Word(), ring.one), (w, ring.from_int(-1))])
 
 
+def _standard_and_f1(n, ring):
+    """(S_2n, al_f1(n)), the second built from the words of the first."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    if n > AL_CAP:
+        raise CapExceeded(f"2n = {2 * n} variables; cap is n <= {AL_CAP}")
+    inv = Word(tuple((i, 1) for i in range(1, 2 * n + 1))).inverse()
+    s = standard_polynomial(2 * n, ring)
+    return s, LaurentElement(ring, [(w * inv, c) for w, c in s.terms.items()])
+
+
 def al_f1(n, ring=ZZ):
     """S_2n with every term multiplied on the right by (x1 ... x_2n)^-1.
 
@@ -295,19 +306,13 @@ def al_f1(n, ring=ZZ):
     word contributes -2n, so every word of the result has total sum zero;
     the identity permutation contributes the constant 1.
     """
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if n > AL_CAP:
-        raise CapExceeded(f"2n = {2 * n} variables; cap is n <= {AL_CAP}")
-    base = Word(tuple((i, 1) for i in range(1, 2 * n + 1)))
-    inv = base.inverse()
-    s = standard_polynomial(2 * n, ring)
-    return LaurentElement(ring, [(w * inv, c) for w, c in s.terms.items()])
+    return _standard_and_f1(n, ring)[1]
 
 
 def al_f2(n, ring=ZZ):
     """f1 + S_2n: the companion with zero exponent sums in some words."""
-    return al_f1(n, ring).add(standard_polynomial(2 * n, ring))
+    s, f1 = _standard_and_f1(n, ring)
+    return f1.add(s)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ artifact across runs, so reports can be diffed.
 import itertools
 
 from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
-from .rings import PrimeField, _field_for, _invert_square, _kernel, power
+from .rings import PrimeField, _field_for, _invert_square, _kernel, power, ring_from_descriptor
 
 DEFAULT_CAP = 2**24
 DIMENSION_CAP = 6
@@ -389,8 +389,6 @@ class Algebra:
 
 def parse_algebra(text):
     """Read a descriptor like M2@Fp:2 or D3@ZZ."""
-    from .rings import ring_from_descriptor
-
     if "@" not in text:
         raise PreconditionError(f"bad algebra descriptor: {text!r}")
     head, _, ringtext = text.partition("@")

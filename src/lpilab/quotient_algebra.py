@@ -13,7 +13,7 @@ genuinely have no inverse here (their geometric series never terminates).
 """
 
 from .errors import NonUnit, PreconditionError
-from .rings import FormalSum
+from .rings import FormalSum, PrimeField
 
 LETTERS = ("x", "y")
 
@@ -151,8 +151,6 @@ def sample_element(ring, rng, max_support=8, max_len=5):
 
 
 def _nonzero_scalar(ring, rng):
-    from .rings import PrimeField
-
     if isinstance(ring, PrimeField):
         return rng.randrange(1, ring.p) if ring.p > 1 else 1
     c = 0

@@ -124,7 +124,8 @@ def _assert_tables_match(tb, pairs):
         assert tb.add[a][b] == index[E[a].add(E[b])], (A.descriptor(), a, b)
     inverses = [A.inverse(m) for m in E]
     assert tb.neg == [index[-m] for m in E]
-    assert tb.inverse == [None if inv is None else index[inv] for inv in inverses]
+    assert [tb.inverse[a] for a in range(tb.n)] == \
+        [None if inv is None else index[inv] for inv in inverses]
     assert tb.units == [i for i, inv in enumerate(inverses) if inv is not None]
 
 
@@ -141,8 +142,21 @@ def test_tables_match_matrix_arithmetic_sampled(descriptor):
     rng = random.Random(descriptor)
     _assert_tables_match(tb, [(rng.randrange(tb.n), rng.randrange(tb.n)) for _ in range(2000)])
     # every entry is one of the n shared index objects, not a fresh int
-    entries = {id(x) for rows in (tb.mul, tb.add) for row in rows for x in row}
-    assert len(entries | {id(x) for x in tb.neg + tb.units}) <= tb.n
+    entries = {id(x) for rows in (tb.mul, tb.add) for a in range(tb.n) for x in rows[a]}
+    inverses = [tb.inverse[a] for a in range(tb.n)]
+    entries |= {id(x) for x in tb.neg + tb.units + inverses if x is not None}
+    assert len(entries) <= tb.n
+
+
+def test_tables_build_the_rows_a_short_scan_reads():
+    # the commutator's first hit comes within the first few rows: a table
+    # built in full would hold 512 and 343 mul rows
+    e = parse_element("x1*x2-x2*x1")
+    for descriptor in ("M3@Fp:2", "T2@Fp:7"):
+        tb = checkers._Tables(parse_algebra(descriptor))
+        hit, _ = checkers._scan(tb, e, list(range(tb.n)))
+        assert hit is not None
+        assert len(tb.mul) <= 16, (descriptor, len(tb.mul))
 
 
 def test_tables_take_the_products_of_the_basis(monkeypatch):

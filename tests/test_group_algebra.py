@@ -190,6 +190,10 @@ def test_standard_words_share_their_syllables():
     # whole syllables and make none: x1..x4 and their inverses
     f1 = al_f1(2)
     assert len({id(syl) for w in f1.terms for syl in w.syllables}) == 8
+    # al_f2 adds the very S_4 that f1 was built from, so no syllable is new
+    f2 = al_f2(2)
+    assert f2 == f1 + standard_polynomial(4)
+    assert len({id(syl) for w in f2.terms for syl in w.syllables}) == 8
 
 
 def test_standard_elements_stay_small():
