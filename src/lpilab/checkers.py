@@ -4,11 +4,12 @@ annihilator dichotomy, derived bounds and the S3 expansion report.
 
 Every search has one shape. `_draws` produces the candidates, either the
 canonical enumeration (exhaustive mode) or seeded samples (random mode);
-`_first_hit` stops at the first violation and counts the evaluations up
-to it; and `_counterexample` is the only code that builds a counterexample
-Verdict. It refuses a missing witness and raises SolveError unless an
-evaluator the search did not use reproduces the hit. The one rule is that
-search and confirmation never use the same evaluator:
+`_search` stops at the first violation, counts the evaluations up to it
+and gives holds when there is none; and `_counterexample` is the only
+code that builds a counterexample Verdict. It refuses a missing witness
+and raises SolveError unless an evaluator the search did not use
+reproduces the hit. The one rule is that search and confirmation never
+use the same evaluator:
 
 - every identity search runs one compiled program, built from the
   element by `group_algebra._staged_program`: on the index tables in
@@ -128,17 +129,19 @@ def _draws(mode, exhaustive, sample, budget, seed):
     return (sample(rng) for _ in range(budget))
 
 
-def _first_hit(draws):
-    """Walk (hit, evaluations) draws, hit being None for a miss, to the
-    first hit. Returns that hit (None when all miss) and the evaluations
-    spent up to and including it, so an exhaustive count is the hit's
-    position in canonical order."""
+def _search(t0, mode, exhaustive, sample, budget, seed, confirm, details):
+    """The one first-hit search. Walks the (hit, evaluations) draws of
+    _draws, hit being None for a miss, and returns the _counterexample of
+    the first hit, which confirm must reproduce, or holds when every draw
+    misses. The evaluations count up to and including the hit, so an
+    exhaustive count is the hit's position in canonical order."""
+    kw = dict(mode=mode, seed=seed, details=details)
     evaluations = 0
-    for hit, count in draws:
+    for hit, count in _draws(mode, exhaustive, sample, budget, seed):
         evaluations += count
         if hit is not None:
-            return hit, evaluations
-    return None, evaluations
+            return _counterexample(t0, hit, confirm, evaluations=evaluations, **kw)
+    return _verdict("holds", t0, evaluations=evaluations, **kw)
 
 
 def _nonzero_at(run, assignment):
@@ -148,9 +151,9 @@ def _nonzero_at(run, assignment):
     return (None if value.is_zero() else {"assignment": assignment, "value": value}), 1
 
 
-def _reproduced_by(evaluator, e):
-    """A confirmation: the evaluator gives the witness's nonzero value."""
-    return lambda w: not w["value"].is_zero() and evaluator(e, w["assignment"]) == w["value"]
+def _reproduced_by(e):
+    """A confirmation: _plain_eval gives the witness's nonzero value."""
+    return lambda w: not w["value"].is_zero() and _plain_eval(e, w["assignment"]) == w["value"]
 
 
 def _counterexample(t0, witness, confirm, **kw):
@@ -162,18 +165,6 @@ def _counterexample(t0, witness, confirm, **kw):
     if not confirm(witness):
         raise SolveError("search and re-verification disagree; implementation bug")
     return _verdict("counterexample", t0, witness=witness, **kw)
-
-
-def _search_verdict(t0, witness, confirm, mode, seed, evaluations, details):
-    """holds, noting when only random samples were searched, or a confirmed
-    counterexample."""
-    if witness is None:
-        if mode == "random":
-            details["note"] = "random search only"
-        return _verdict("holds", t0, mode=mode, seed=seed, evaluations=evaluations,
-                        details=details)
-    return _counterexample(t0, witness, confirm, mode=mode, seed=seed,
-                           evaluations=evaluations, details=details)
 
 
 def _plain_eval(e, assignment):
@@ -446,41 +437,29 @@ def _scan(tb, e, ground):
     return (tuple(assign) if rec(0) else None), evaluations
 
 
-def _run_scan(algebra, e, ground_kind, cap):
-    """Scan the tuple space on the tables. Returns the scan's hit, a tuple
-    of matrices or None, and its evaluations, plus the ground size and the
-    tuple space."""
-    tb = _Tables(algebra, cap)
-    ground = tb.units if ground_kind == "units" else tb.ids
-    nvars = len(e.variables())
-    space = len(ground) ** nvars if nvars else 1
-    if space > cap:
-        raise CapExceeded(
-            f"tuple space {space} exceeds the cap {cap}; lower the dimension or use random mode"
-        )
-    hit, count = _scan(tb, e, ground)
-    if hit is not None:
-        hit = tuple(tb.elements[i] for i in hit)
-    return (hit, count), len(ground), space
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 
 
 def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, details):
-    """The search behind check_lpi, al_verify and check_group_identity: the
-    table sweep in exhaustive mode, whose hit takes its value from
-    evaluate, or in random mode e's program compiled once over the
-    algebra's matrices and run at seeded samples. Either way _plain_eval
-    must reproduce the witness's value."""
+    """The _search behind check_lpi, al_verify and check_group_identity:
+    in exhaustive mode one _scan of the tuple space on the index tables,
+    whose hit takes its value from evaluate, or in random mode e's program
+    compiled once over the algebra's matrices and run at seeded samples.
+    Either way _plain_eval must reproduce the witness's value."""
     vars_sorted = sorted(e.variables())
 
     def scan():
-        (hit, count), ground_size, space = _run_scan(algebra, e, ground_kind, cap)
-        details.update(ground=ground_kind, ground_size=ground_size, tuple_space=space)
+        tb = _Tables(algebra, cap)
+        ground = tb.units if ground_kind == "units" else tb.ids
+        space = len(ground) ** len(vars_sorted)
+        if space > cap:
+            raise CapExceeded(f"tuple space {space} exceeds the cap {cap}; "
+                              "lower the dimension or use random mode")
+        details.update(ground=ground_kind, ground_size=len(ground), tuple_space=space)
+        hit, count = _scan(tb, e, ground)
         if hit is not None:
-            assignment = dict(zip(vars_sorted, hit))
+            assignment = dict(zip(vars_sorted, (tb.elements[i] for i in hit)))
             hit = {"assignment": assignment, "value": evaluate(e, assignment)}
         yield hit, count
 
@@ -499,9 +478,10 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, detai
         inverses.clear()  # only this sample's units, so the map stays small
         return _nonzero_at(run, {g: draw(rng) for g in vars_sorted})
 
-    witness, evaluations = _first_hit(_draws(mode, scan, sample, budget, seed))
-    return _search_verdict(t0, witness, _reproduced_by(_plain_eval, e), mode, seed,
-                           evaluations, details)
+    v = _search(t0, mode, scan, sample, budget, seed, _reproduced_by(e), details)
+    if mode == "random" and v.holds():
+        details["note"] = "random search only"
+    return v
 
 
 def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
@@ -527,7 +507,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
         assignment = {g: ident for g in (sorted(e.variables()) or [1])}
         return _counterexample(
             t0, {"assignment": assignment, "value": evaluate(e, assignment)},
-            _reproduced_by(_plain_eval, e), mode=mode, seed=seed, evaluations=1,
+            _reproduced_by(e), mode=mode, seed=seed, evaluations=1,
             details={
                 "ground": ground_kind,
                 "prefilter": "coefficient sum is nonzero, the identity tuple violates",
@@ -733,13 +713,10 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
         if m_witness is not None:
             details["index_witness"] = _quad_witness(m_witness)
     kw = dict(mode=mode, seed=seed, evaluations=examined, details=details)
-    if first_bad is not None:
-        return _counterexample(t0, _quad_witness(first_bad),
-                               lambda w: _reverify_quad(w, hard_bound), **kw)
-    if over_mmax is not None:
-        return _counterexample(t0, _quad_witness(over_mmax),
-                               lambda w: _reverify_quad(w, bound), **kw)
-    return _verdict("holds", t0, **kw)
+    quad, power = (first_bad, hard_bound) if first_bad is not None else (over_mmax, bound)
+    if quad is None:
+        return _verdict("holds", t0, **kw)
+    return _counterexample(t0, _quad_witness(quad), lambda w: _reverify_quad(w, power), **kw)
 
 
 def _quad_witness(quad):
@@ -797,13 +774,9 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
         return (a.mul(a).is_zero() and b.mul(b).is_zero() and a.mul(b) == ab
                 and ab_n.is_zero() and not ab_2d.is_zero())
 
-    witness, evaluations = _first_hit(_draws(mode, pairs, sample, budget, seed))
-    kw = dict(mode=mode, seed=seed, evaluations=evaluations,
-              details={"d": d, "checked": evaluations - skipped,
-                       "skipped_non_nilpotent": skipped})
-    if witness is None:
-        return _verdict("holds", t0, **kw)
-    return _counterexample(t0, witness, confirm, **kw)
+    v = _search(t0, mode, pairs, sample, budget, seed, confirm, {"d": d})
+    v.details.update(checked=v.evaluations - skipped, skipped_non_nilpotent=skipped)
+    return v
 
 
 def vandermonde_nil(f, v, u, lambdas):
@@ -1033,7 +1006,7 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
     if n == 1:
         details["note"] = "S_2 fails on the unit group; nothing to sample for n = 1"
         return _counterexample(t0, {"assignment": {1: ux, 2: uy}, "value": s2_value},
-                               _reproduced_by(_plain_eval, s2), mode="deterministic",
+                               _reproduced_by(s2), mode="deterministic",
                                seed=seed, evaluations=2, details=details)
     e = standard_polynomial(2 * n, ring)
     _, run = e.compiled(one)
@@ -1042,10 +1015,7 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
         args = [sample_element(ring, rng) for _ in range(2 * n)]
         return _nonzero_at(run, dict(enumerate(args, start=1)))
 
-    witness, evaluations = _first_hit(_draws("random", None, sample, samples, seed))
-    if witness is None:
+    v = _search(t0, "random", None, sample, samples, seed, _reproduced_by(e), details)
+    if v.holds():
         details["samples"] = samples
-        return _verdict("holds", t0, mode="random", seed=seed, evaluations=evaluations,
-                        details=details)
-    return _counterexample(t0, witness, _reproduced_by(_plain_eval, e), mode="random",
-                           seed=seed, evaluations=evaluations, details=details)
+    return v

@@ -587,6 +587,8 @@ def main(argv=None):
             args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
         if getattr(args, "workers", 1) < 1:
             raise LpiLabError(f"workers must be at least 1, got {args.workers}")
+        if getattr(args, "cap", 1) < 1:
+            raise LpiLabError(f"cap must be at least 1, got {args.cap}")
         if getattr(args, "mode", None) == "random":
             _resolve_seed(args)
         return args.handler(args)

@@ -1194,6 +1194,56 @@ def test_square_zero_counterexample_needs_confirmation(monkeypatch, mode):
         square_zero_nilpotency(M2F2, 1, mode=mode, budget=50, seed=2)
 
 
+# the whole (outcome, evaluations, details) of searches that no golden
+# report covers, so a detail added or lost, a stray note say, shows
+REWIRED_VERDICTS = [
+    (lambda: square_zero_nilpotency(M2F2, 1),
+     ("holds", 16, {"d": 1, "checked": 10, "skipped_non_nilpotent": 6})),
+    (lambda: square_zero_nilpotency(T3F2, 1),
+     ("holds", 36, {"d": 1, "checked": 36, "skipped_non_nilpotent": 0})),
+    (lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=50, seed=2),
+     ("holds", 50, {"d": 1, "checked": 41, "skipped_non_nilpotent": 9})),
+    (lambda: quotient_pi_check(2, samples=50, seed=3),
+     ("holds", 50, {"s2_at_units": "x*y - y*x",
+                    "s3_at_units": "-x*y + y*x + x*y*x + y*x*y + 2*x*y*x*y + y*x*y*x",
+                    "s2_nonzero": True, "s3_nonzero": True, "samples": 50})),
+]
+
+
+@pytest.mark.parametrize("call, expected", REWIRED_VERDICTS,
+                         ids=["square_zero/M2", "square_zero/T3", "square_zero/random",
+                              "quotient/n=2"])
+def test_search_verdicts_are_pinned(call, expected):
+    v = call()
+    assert (v.outcome, v.evaluations, v.details) == expected
+
+
+# every first-hit search, in each of its modes
+FIRST_HIT_SEARCHES = [
+    lambda: check_lpi(M2F2, S3),
+    lambda: check_lpi(M2F2, S3, mode="random", budget=20, seed=1),
+    lambda: al_verify(1, 2),
+    lambda: check_group_identity(M2F2, Word.gen(1, 2)),
+    lambda: check_group_identity(M2F2, Word.gen(1, 2), mode="random", budget=20, seed=1),
+    lambda: square_zero_nilpotency(M2F2, 1),
+    lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=20, seed=1),
+    lambda: quotient_pi_check(2, samples=20, seed=1),
+]
+
+
+@pytest.mark.parametrize("call", FIRST_HIT_SEARCHES,
+                         ids=["check_lpi", "check_lpi/random", "al_verify",
+                              "check_group_identity", "check_group_identity/random",
+                              "square_zero", "square_zero/random", "quotient"])
+def test_every_first_hit_search_runs_the_one_driver(monkeypatch, call):
+    entries = []
+    search = checkers._search
+    monkeypatch.setattr(checkers, "_search",
+                        lambda *args: entries.append(args) or search(*args))
+    call()
+    assert len(entries) == 1
+
+
 def test_unknown_mode_is_rejected():
     for call in (
         lambda: check_lpi(M2F2, S3, mode="basis"),

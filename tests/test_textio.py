@@ -239,18 +239,26 @@ def test_parse_s8_report_is_pinned():
         "1c37f73ce6c616d83cbdc6563003f7d66f50401ef5d0a417b79c961bdf353d3a")
 
 
-def test_nothing_to_search_exits_two():
-    # a random search without draws, or a scan without a worker, is refused
-    # instead of reporting holds
+def test_nothing_to_search_exits_two(monkeypatch):
+    # a random search without draws, a scan without a worker, or a cap
+    # below 1, is refused instead of reporting a verdict
     cases = [
-        ["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "M2@Fp:2", "--mode", "random",
-         "--budget", "-5", "--seed", "1"],
-        ["quotient", "--n", "2", "--samples", "0", "--seed", "1"],
-        ["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--workers", "0"],
-        ["al-verify", "--n", "1", "--field", "Fp:2", "--workers", "-3"],
+        ({}, ["check-lpi", "--expr", "x1*x2-x2*x1", "--algebra", "M2@Fp:2", "--mode",
+              "random", "--budget", "-5", "--seed", "1"]),
+        ({}, ["quotient", "--n", "2", "--samples", "0", "--seed", "1"]),
+        ({}, ["check-lpi", "--expr", "S(3)", "--algebra", "M2@Fp:2", "--workers", "0"]),
+        ({}, ["al-verify", "--n", "1", "--field", "Fp:2", "--workers", "-3"]),
+        # each of these has an early answer, which used to come back as a verdict
+        ({}, ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:2", "--cap", "0"]),
+        ({}, ["check-lpi", "--expr", "0", "--algebra", "M2@Fp:2", "--cap", "-5"]),
+        ({"LPILAB_CAP": "0"}, ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:2"]),
     ]
-    for argv in cases:
-        code, out, err = run_cli(*argv)
+    for env, argv in cases:
+        with monkeypatch.context() as m:
+            m.delenv("LPILAB_CAP", raising=False)
+            for name, value in env.items():
+                m.setenv(name, value)
+            code, out, err = run_cli(*argv)
         assert code == 2 and not out.strip(), argv
         assert "at least 1" in err, argv
 
