@@ -51,6 +51,7 @@ from .matrix_algebra import (
     DEFAULT_CAP,
     Algebra,
     Matrix,
+    _check_cap,
     evaluate,
     identity,
     mat_inverse,
@@ -106,11 +107,14 @@ def _verdict(outcome, t0, **kw):
 # the search layer
 
 
-def _check_search(mode, budget):
-    """The only place that accepts or rejects a search's mode and random
-    budget. A random search needs a budget of at least one draw: with none
-    it would report holds having looked at nothing. Searches with an early
-    answer call it before giving that answer."""
+def _check_search(mode, budget, cap=None):
+    """Every search calls this first, with its cap if it takes one, so a
+    bad mode, random budget or cap is refused before any work or early
+    answer. A random search needs a budget of at least one draw: with none
+    it would report holds having looked at nothing. The cap goes to
+    _check_cap, which every enumeration runs too."""
+    if cap is not None:
+        _check_cap(cap)
     if mode not in ("exhaustive", "random"):
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "random" and budget < 1:
@@ -120,7 +124,6 @@ def _check_search(mode, budget):
 def _draws(mode, exhaustive, sample, budget, seed):
     """The candidate stream of a search: exhaustive() in canonical order,
     or sample(rng) drawn budget times from a generator seeded with seed."""
-    _check_search(mode, budget)
     if mode == "exhaustive":
         return exhaustive()
     # string-seeding goes through a stable hash, so substreams derived as
@@ -495,7 +498,7 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     weak empirical sense.
     """
     t0 = time.monotonic()
-    _check_search(mode, budget)
+    _check_search(mode, budget, cap)
     if e.is_zero():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "zero element vanishes identically"})
@@ -521,7 +524,7 @@ def al_verify(n, p, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
               cap=DEFAULT_CAP):
     """Check the standard identity S_2n on n-by-n matrices over F_p."""
     t0 = time.monotonic()
-    _check_search(mode, budget)
+    _check_search(mode, budget, cap)
     algebra = Algebra("M", n, PrimeField(p))
     k = 2 * n
     return _identity_search(t0, algebra, standard_polynomial(k, algebra.ring), "elements",
@@ -537,7 +540,7 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
     set, whatever the signs of w's exponents. The witness value is w's
     value, 1 minus the confirmed value of 1 - w."""
     t0 = time.monotonic()
-    _check_search(mode, budget)
+    _check_search(mode, budget, cap)
     if w.is_identity():
         return _verdict("holds", t0, mode=mode, seed=seed,
                         details={"note": "empty word is trivially the identity"})
@@ -645,6 +648,7 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
     Only the quadruples that become witnesses are built as matrices.
     """
     t0 = time.monotonic()
+    _check_search(mode, budget, cap)
     n = algebra.n
     bound = n if m_max is None else min(m_max, n) if m_max >= 1 else None
     if bound is None:
@@ -742,6 +746,7 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
     skipped and counted rather than treated as violations.
     """
     t0 = time.monotonic()
+    _check_search(mode, budget, cap)
     if d < 1:
         raise PreconditionError("d must be >= 1")
     n = algebra.n
@@ -988,6 +993,7 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
     when n >= 2, while S2 and S3 are nonzero at the standard units. Both
     normal forms ride along in the details."""
     t0 = time.monotonic()
+    _check_search("random", samples)
     if n < 1:
         raise PreconditionError("n must be >= 1")
     one = QuotientElement.one(ring)

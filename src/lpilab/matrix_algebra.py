@@ -24,6 +24,12 @@ _FAMILIES = {
 }
 
 
+def _check_cap(cap):
+    """Refuse a cap below 1, under which nothing could be enumerated."""
+    if cap < 1:
+        raise PreconditionError(f"cap must be at least 1, got {cap}")
+
+
 class Matrix:
     """A square matrix over an exact ring, immutable, its entries a tuple
     of row tuples.
@@ -260,6 +266,7 @@ class Algebra:
         return self.ring.p ** len(self.positions())
 
     def _require_enumerable(self, cap):
+        _check_cap(cap)
         size = self.size()
         if size is None:
             raise PreconditionError(
@@ -392,7 +399,7 @@ def parse_algebra(text):
     if "@" not in text:
         raise PreconditionError(f"bad algebra descriptor: {text!r}")
     head, _, ringtext = text.partition("@")
-    if len(head) < 2 or head[0] not in _FAMILIES or not head[1:].isdigit():
+    if not (head[:1] in _FAMILIES and head[1:].isascii() and head[1:].isdigit()):
         raise PreconditionError(f"bad algebra descriptor: {text!r}")
     return Algebra(head[0], int(head[1:]), ring_from_descriptor(ringtext))
 

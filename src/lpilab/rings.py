@@ -260,7 +260,7 @@ def ring_from_descriptor(text):
         return ZZ
     if text.startswith("Fp:"):
         digits = text[3:]
-        if not digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
             raise PreconditionError(f"bad prime field literal: {text!r}")
         return PrimeField(int(digits))
     raise PreconditionError(f"unknown ring literal: {text!r}")

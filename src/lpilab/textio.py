@@ -8,6 +8,9 @@ Expression grammar, shared by both contexts:
     atom       := INT | name | macro | "(" expression ")"
     integer    := ["-"] INT
 
+INT is a run of the ASCII digits 0-9, and a name is an ASCII letter
+followed by ASCII letters and digits. Spaces, tabs, carriage returns
+and newlines separate tokens; any other character is a parse error.
 Multiplication is always written out; "2x1" is a parse error, "2*x1" is
 not. In the Laurent context names are the variables x1 .. x8 (plain x and
 y abbreviate x1 and x2) and the macros S(n) and AL(n) expand to the
@@ -39,6 +42,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -63,45 +67,24 @@ MAX_VARIABLES = 8
 Token = namedtuple("Token", "kind text line col")
 
 
+# ASCII classes only, so every INT is a literal that int() reads; a
+# character no group matches is the error group
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*^(),])"
+                    r"|(?P<NL>\n)|[ \t\r]+|(?P<BAD>.)")
+
+
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalpha() or text[j].isdigit()):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^(),":
-            tokens.append(Token("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind:  # whitespace is the one unnamed group
+            tokens.append(Token(kind, m.group(), line, col))
+    tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -126,6 +109,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops):
+        """Take the next token if it is one of the operators ops, else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
     def _one(self):
         if self.context == "laurent":
             return LaurentElement.one(self.ring)
@@ -145,41 +136,31 @@ class _Parser:
         return e
 
     def expression(self):
-        negate = False
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.take()
-            negate = True
+        negate = self.accept("-")
         e = self.term()
         if negate:
             e = -e
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.take()
+        while op := self.accept("+-"):
             t = self.term()
             e = e + t if op.text == "+" else e - t
         return e
 
     def term(self):
         e = self.factor()
-        while self.peek().kind == "OP" and self.peek().text == "*":
-            self.take()
+        while self.accept("*"):
             e = e.mul(self.factor())
         return e
 
     def factor(self):
         a = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            caret = self.take()
-            k = self.signed_int()
-            a = self._power(a, k, caret)
+        caret = self.accept("^")
+        if caret:
+            a = self._power(a, self.signed_int(), caret)
         return a
 
     def signed_int(self):
-        sign = 1
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.take()
-            sign = -1
-        tok = self.take("INT")
-        return sign * int(tok.text)
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.take("INT").text)
 
     def _power(self, a, k, caret):
         if k >= 0:
@@ -201,8 +182,7 @@ class _Parser:
             return self._constant(int(tok.text))
         if tok.kind == "NAME":
             return self._name()
-        if tok.kind == "OP" and tok.text == "(":
-            self.take()
+        if self.accept("("):
             e = self.expression()
             self.take("OP", ")")
             return e
@@ -587,8 +567,6 @@ def main(argv=None):
             args.cap = _env_int("LPILAB_CAP", DEFAULT_CAP)
         if getattr(args, "workers", 1) < 1:
             raise LpiLabError(f"workers must be at least 1, got {args.workers}")
-        if getattr(args, "cap", 1) < 1:
-            raise LpiLabError(f"cap must be at least 1, got {args.cap}")
         if getattr(args, "mode", None) == "random":
             _resolve_seed(args)
         return args.handler(args)

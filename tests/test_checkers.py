@@ -1280,11 +1280,38 @@ def test_random_mode_refuses_a_budget_below_one():
             lambda: nil_exponent_search(M2F2, mode="random", budget=budget, seed=1),
             lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=budget, seed=1),
             lambda: quotient_pi_check(2, samples=budget, seed=1),
+            # n = 1 has its answer before any sample
+            lambda: quotient_pi_check(1, samples=budget, seed=1),
         ):
             with pytest.raises(PreconditionError, match="budget of at least 1"):
                 call()
     # exhaustive mode has no budget to refuse
     assert check_lpi(M2F2, comm, budget=0).witness == check_lpi(M2F2, comm).witness
+
+
+def test_library_refuses_a_cap_below_one():
+    # refused before any work or early answer, in either mode
+    x1 = parse_element("x1")
+    for cap in (0, -5):
+        for call in (
+            # early answers: a nonzero coefficient sum, zero, the empty word
+            lambda: check_lpi(M2F2, x1, cap=cap),
+            lambda: check_lpi(M2F2, LaurentElement.zero(ZZ), cap=cap),
+            lambda: check_group_identity(M2F2, Word(), cap=cap),
+            lambda: check_lpi(M2F2, S3, cap=cap),
+            lambda: check_lpi(M2F2, S3, mode="random", seed=1, cap=cap),
+            lambda: al_verify(1, 2, cap=cap),
+            lambda: nil_exponent_search(M2F2, cap=cap),
+            lambda: nil_exponent_search(M2F2, mode="random", seed=1, cap=cap),
+            lambda: square_zero_nilpotency(M2F2, 1, mode="random", seed=1, cap=cap),
+            lambda: finite_annihilator(M2F2, cap=cap),
+            lambda: idempotent_centrality(M2F2, cap=cap),
+            lambda: list(M2F2.enumerate_elements(cap)),
+        ):
+            with pytest.raises(PreconditionError, match=f"cap must be at least 1, got {cap}"):
+                call()
+    # a cap of 1 is a cap, and the early answer still comes back under it
+    assert check_lpi(M2F2, x1, cap=1).outcome == "counterexample"
 
 
 # S_3 on M_2(F_2) hits early, x1*(x2 - x2^2) on T_2(F_2) first at x1 = e11,

@@ -16,7 +16,8 @@ from lpilab.group_algebra import LaurentElement, al_f2, standard_polynomial
 from lpilab.matrix_algebra import DEFAULT_CAP
 from lpilab.quotient_algebra import QuotientElement, sample_element
 from lpilab.rings import ZZ, PrimeField, ring_from_descriptor
-from lpilab.textio import build_parser, main, parse_element, parse_word, serialize, tokenize
+from lpilab.textio import (Token, build_parser, main, parse_element, parse_word, serialize,
+                           tokenize)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "expressions.txt")
 
@@ -40,6 +41,70 @@ def test_tokenizer_tracks_positions():
     with pytest.raises(ParseError) as exc:
         tokenize("x1 ? x2")
     assert exc.value.line == 1 and exc.value.col == 4
+
+
+def _reference_tokenize(text):
+    """The per-character tokenizer that the pattern scan replaced, kept as
+    the reference for ASCII text."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalpha() or text[j].isdigit()):
+                j += 1
+            tokens.append(Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^(),":
+            tokens.append(Token("OP", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("END", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# mostly token characters, so that most texts get past their first
+# character, plus any code point 0-127
+ASCII_TEXT = st.text(st.sampled_from("x1 2y9AzS(),+-*^\n\t\r") | st.characters(max_codepoint=127),
+                     max_size=40)
+
+
+@given(ASCII_TEXT)
+@settings(max_examples=2000, deadline=None)
+def test_scanner_is_the_per_character_loop_on_ascii(text):
+    # the same tokens, or the same ParseError with the same line and column
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_reference_tokenize, text)
 
 
 def test_parse_basic_laurent():
@@ -216,11 +281,18 @@ def test_exit_code_two_on_errors():
         ["counterexample", "--deg-max", "-1", "--seed", "1"],
         ["counterexample", "--count", "-1", "--seed", "1"],
         ["counterexample", "--count", "0", "--seed", "1"],
+        # str.isdigit accepts these, int() does not: they used to end in a
+        # ValueError traceback with exit 1
+        ["parse", "--expr", "x1^²"],
+        ["parse", "--expr", "x₁"],
+        ["check-lpi", "--expr", "x1", "--algebra", "M²@Fp:2"],
+        ["parse", "--expr", "1", "--ring", "Fp:²"],
+        ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:²"],
     ]
     for argv in cases:
         code, out, err = run_cli(*argv)
         assert code == 2, argv
-        assert err.strip(), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert not out.strip(), argv
 
 
@@ -252,6 +324,7 @@ def test_nothing_to_search_exits_two(monkeypatch):
         ({}, ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:2", "--cap", "0"]),
         ({}, ["check-lpi", "--expr", "0", "--algebra", "M2@Fp:2", "--cap", "-5"]),
         ({"LPILAB_CAP": "0"}, ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:2"]),
+        ({}, ["quotient", "--n", "1", "--samples", "0", "--seed", "1"]),
     ]
     for env, argv in cases:
         with monkeypatch.context() as m:
