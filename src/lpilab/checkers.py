@@ -5,11 +5,12 @@ annihilator dichotomy, derived bounds and the S3 expansion report.
 Every search has one shape. `_draws` produces the candidates, either the
 canonical enumeration (exhaustive mode) or seeded samples (random mode);
 `_search` stops at the first violation, counts the evaluations up to it
-and gives holds when there is none; and `_counterexample` is the only
-code that builds a counterexample Verdict. It refuses a missing witness
-and raises SolveError unless an evaluator the search did not use
-reproduces the hit. The one rule is that search and confirmation never
-use the same evaluator:
+and gives holds when there is none. `_search` builds every Verdict, the
+early answers, nilbound's survey and `vandermonde_nil`'s solve included,
+so a counterexample always carries its hit as witness, and it raises
+SolveError unless an evaluator the search did not use reproduces the
+hit. The one rule is that search and confirmation never use the same
+evaluator:
 
 - every identity search runs one compiled program, built from the
   element by `group_algebra._staged_program`: on the index tables in
@@ -99,10 +100,6 @@ class Verdict:
         return self.outcome == "holds"
 
 
-def _verdict(outcome, t0, **kw):
-    return Verdict(outcome=outcome, elapsed_ms=int((time.monotonic() - t0) * 1000), **kw)
-
-
 # ---------------------------------------------------------------------------
 # the search layer
 
@@ -132,19 +129,25 @@ def _draws(mode, exhaustive, sample, budget, seed):
     return (sample(rng) for _ in range(budget))
 
 
-def _search(t0, mode, exhaustive, sample, budget, seed, confirm, details):
-    """The one first-hit search. Walks the (hit, evaluations) draws of
-    _draws, hit being None for a miss, and returns the _counterexample of
-    the first hit, which confirm must reproduce, or holds when every draw
+def _search(t0, draws, confirm, mode, seed, details):
+    """The one driver, and the only code that builds a Verdict. Walks the
+    (hit, evaluations) pairs of draws, hit being None for a miss: those of
+    _draws, or the one pair of a survey or solve, or none at all for an
+    early holds. The first hit is the witness of a counterexample, and
+    confirm, which uses an evaluator the search did not, must reproduce it,
+    else SolveError reports an implementation bug; holds when every draw
     misses. The evaluations count up to and including the hit, so an
     exhaustive count is the hit's position in canonical order."""
-    kw = dict(mode=mode, seed=seed, details=details)
-    evaluations = 0
-    for hit, count in _draws(mode, exhaustive, sample, budget, seed):
+    outcome, witness, evaluations = "holds", None, 0
+    for hit, count in draws:
         evaluations += count
         if hit is not None:
-            return _counterexample(t0, hit, confirm, evaluations=evaluations, **kw)
-    return _verdict("holds", t0, evaluations=evaluations, **kw)
+            if not confirm(hit):
+                raise SolveError("search and re-verification disagree; implementation bug")
+            outcome, witness = "counterexample", hit
+            break
+    return Verdict(outcome, witness, evaluations, mode, seed,
+                   int((time.monotonic() - t0) * 1000), details)
 
 
 def _nonzero_at(run, assignment):
@@ -157,17 +160,6 @@ def _nonzero_at(run, assignment):
 def _reproduced_by(e):
     """A confirmation: _plain_eval gives the witness's nonzero value."""
     return lambda w: not w["value"].is_zero() and _plain_eval(e, w["assignment"]) == w["value"]
-
-
-def _counterexample(t0, witness, confirm, **kw):
-    """The only code that builds a counterexample Verdict. The witness must
-    exist and confirm, which uses an evaluator the search did not, must
-    reproduce it; anything else is an implementation bug."""
-    if witness is None:
-        raise SolveError("counterexample without a witness; implementation bug")
-    if not confirm(witness):
-        raise SolveError("search and re-verification disagree; implementation bug")
-    return _verdict("counterexample", t0, witness=witness, **kw)
 
 
 def _plain_eval(e, assignment):
@@ -481,7 +473,8 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, detai
         inverses.clear()  # only this sample's units, so the map stays small
         return _nonzero_at(run, {g: draw(rng) for g in vars_sorted})
 
-    v = _search(t0, mode, scan, sample, budget, seed, _reproduced_by(e), details)
+    v = _search(t0, _draws(mode, scan, sample, budget, seed), _reproduced_by(e), mode, seed,
+                details)
     if mode == "random" and v.holds():
         details["note"] = "random search only"
     return v
@@ -500,22 +493,18 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     t0 = time.monotonic()
     _check_search(mode, budget, cap)
     if e.is_zero():
-        return _verdict("holds", t0, mode=mode, seed=seed,
-                        details={"note": "zero element vanishes identically"})
+        return _search(t0, (), None, mode, seed, {"note": "zero element vanishes identically"})
     ground_kind = "units" if e.has_negative_exponent() else "elements"
     emb = embed_into(e.ring, algebra.ring)
     csum = emb(e.coefficient_sum())
     if csum != algebra.ring.zero:
         ident = algebra.identity()
         assignment = {g: ident for g in (sorted(e.variables()) or [1])}
-        return _counterexample(
-            t0, {"assignment": assignment, "value": evaluate(e, assignment)},
-            _reproduced_by(e), mode=mode, seed=seed, evaluations=1,
-            details={
-                "ground": ground_kind,
-                "prefilter": "coefficient sum is nonzero, the identity tuple violates",
-            },
-        )
+        hit = {"assignment": assignment, "value": evaluate(e, assignment)}
+        return _search(t0, [(hit, 1)], _reproduced_by(e), mode, seed, {
+            "ground": ground_kind,
+            "prefilter": "coefficient sum is nonzero, the identity tuple violates",
+        })
     return _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap,
                             {"ground": ground_kind})
 
@@ -542,8 +531,7 @@ def check_group_identity(algebra, w, mode="exhaustive", budget=DEFAULT_BUDGET,
     t0 = time.monotonic()
     _check_search(mode, budget, cap)
     if w.is_identity():
-        return _verdict("holds", t0, mode=mode, seed=seed,
-                        details={"note": "empty word is trivially the identity"})
+        return _search(t0, (), None, mode, seed, {"note": "empty word is trivially the identity"})
     v = _identity_search(t0, algebra, gi_to_lpi(w), "units", mode, budget, seed, cap, {})
     if mode == "exhaustive":
         v.details = {"units": v.details["ground_size"]}
@@ -716,11 +704,10 @@ def nil_exponent_search(algebra, m_max=None, mode="exhaustive", budget=DEFAULT_B
         details["quadruples"] = examined
         if m_witness is not None:
             details["index_witness"] = _quad_witness(m_witness)
-    kw = dict(mode=mode, seed=seed, evaluations=examined, details=details)
     quad, power = (first_bad, hard_bound) if first_bad is not None else (over_mmax, bound)
-    if quad is None:
-        return _verdict("holds", t0, **kw)
-    return _counterexample(t0, _quad_witness(quad), lambda w: _reverify_quad(w, power), **kw)
+    witness = None if quad is None else _quad_witness(quad)
+    return _search(t0, [(witness, examined)], lambda w: _reverify_quad(w, power), mode, seed,
+                   details)
 
 
 def _quad_witness(quad):
@@ -779,7 +766,7 @@ def square_zero_nilpotency(algebra, d, mode="exhaustive", budget=DEFAULT_BUDGET,
         return (a.mul(a).is_zero() and b.mul(b).is_zero() and a.mul(b) == ab
                 and ab_n.is_zero() and not ab_2d.is_zero())
 
-    v = _search(t0, mode, pairs, sample, budget, seed, confirm, {"d": d})
+    v = _search(t0, _draws(mode, pairs, sample, budget, seed), confirm, mode, seed, {"d": d})
     v.details.update(checked=v.evaluations - skipped, skipped_non_nilpotent=skipped)
     return v
 
@@ -821,18 +808,16 @@ def vandermonde_nil(f, v, u, lambdas):
     if all_zero and not f.is_zero() and d >= 1:
         vu_power = vu.power(d)
         nil_checked = vu_power.is_zero()
-    kw = dict(mode="deterministic", evaluations=len(values),
-              details={"components_zero": all_zero,
-                       "degree": d if not f.is_zero() else None,
-                       "vu_power_zero": nil_checked})
-    if nil_checked is False:
-        def confirm(w):
-            x_d = UniPoly.x_power(ring, d)
-            return not unipoly_eval(x_d, w["v"].mul(w["u"])).is_zero()
+    witness = {"v": v, "u": u, "vu_power": vu_power} if nil_checked is False else None
 
-        return positive, _counterexample(t0, {"v": v, "u": u, "vu_power": vu_power},
-                                         confirm, **kw)
-    return positive, _verdict("holds", t0, **kw)
+    def confirm(w):
+        x_d = UniPoly.x_power(ring, d)
+        return not unipoly_eval(x_d, w["v"].mul(w["u"])).is_zero()
+
+    return positive, _search(t0, [(witness, len(values))], confirm, "deterministic", None,
+                             {"components_zero": all_zero,
+                              "degree": d if not f.is_zero() else None,
+                              "vu_power_zero": nil_checked})
 
 
 AnnihilatorResult = namedtuple("AnnihilatorResult", "g factors pairs_checked")
@@ -1011,9 +996,8 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
     }
     if n == 1:
         details["note"] = "S_2 fails on the unit group; nothing to sample for n = 1"
-        return _counterexample(t0, {"assignment": {1: ux, 2: uy}, "value": s2_value},
-                               _reproduced_by(s2), mode="deterministic",
-                               seed=seed, evaluations=2, details=details)
+        hit = {"assignment": {1: ux, 2: uy}, "value": s2_value}
+        return _search(t0, [(hit, 2)], _reproduced_by(s2), "deterministic", seed, details)
     e = standard_polynomial(2 * n, ring)
     _, run = e.compiled(one)
 
@@ -1021,7 +1005,8 @@ def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):
         args = [sample_element(ring, rng) for _ in range(2 * n)]
         return _nonzero_at(run, dict(enumerate(args, start=1)))
 
-    v = _search(t0, "random", None, sample, samples, seed, _reproduced_by(e), details)
+    v = _search(t0, _draws("random", None, sample, samples, seed), _reproduced_by(e), "random",
+                seed, details)
     if v.holds():
         details["samples"] = samples
     return v

@@ -11,10 +11,11 @@ class LpiLabError(Exception):
 
 
 class ParseError(LpiLabError):
-    """Bad expression text. Carries line and column of the offending token."""
+    """Bad expression text. Carries line and column of the offending token,
+    or None for both when the fault is in the whole text."""
 
-    def __init__(self, message, line=1, col=1):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message, line=None, col=None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 

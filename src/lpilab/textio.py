@@ -571,7 +571,7 @@ def main(argv=None):
             _resolve_seed(args)
         return args.handler(args)
     except ParseError as exc:
-        # the message already ends with the position
+        # the message ends with the position when the fault has one
         print(f"error: parse error: {exc}", file=sys.stderr)
         return 2
     except Inadmissible as exc:

@@ -1019,6 +1019,24 @@ def test_vandermonde_nil_rejects_bad_lambdas():
         vandermonde_nil(f, v, u, [1, 2])  # only one nonzero scalar in F2
 
 
+def test_vandermonde_nil_counterexample_needs_confirmation(monkeypatch):
+    # zero positive components force (vu)^d = 0, so the counterexample
+    # branch needs a solve that lies: with f = X and v = u = 1 the closing
+    # check finds (vu)^1 = 1 and Horner evaluation confirms it
+    zero = Matrix(ZZ, [[0, 0], [0, 0]])
+    one = Matrix(ZZ, [[1, 0], [0, 1]])
+    monkeypatch.setattr(checkers, "vandermonde_solve", lambda ring, pts, values: [zero] * 3)
+    comps, verdict = vandermonde_nil(UniPoly(ZZ, [0, 1]), one, one, [1, 2])
+    assert comps == [zero, zero]
+    assert (verdict.outcome, verdict.evaluations, verdict.mode) == (
+        "counterexample", 3, "deterministic")
+    assert sorted(verdict.witness) == ["u", "v", "vu_power"]
+    # a confirmation that cannot reproduce (vu)^1 refuses the hit
+    monkeypatch.setattr(checkers, "unipoly_eval", lambda f, m: zero)
+    with pytest.raises(SolveError):
+        vandermonde_nil(UniPoly(ZZ, [0, 1]), one, one, [1, 2])
+
+
 def test_finite_annihilator_m2f2():
     res = finite_annihilator(M2F2)
     # enumerated independently: distinct cycle shapes (1,2) (1,3) (1,4) (2,3)
@@ -1194,31 +1212,46 @@ def test_square_zero_counterexample_needs_confirmation(monkeypatch, mode):
         square_zero_nilpotency(M2F2, 1, mode=mode, budget=50, seed=2)
 
 
-# the whole (outcome, evaluations, details) of searches that no golden
-# report covers, so a detail added or lost, a stray note say, shows
+QUOTIENT_UNITS = {"s2_at_units": "x*y - y*x",
+                  "s3_at_units": "-x*y + y*x + x*y*x + y*x*y + 2*x*y*x*y + y*x*y*x",
+                  "s2_nonzero": True, "s3_nonzero": True}
+
+# the whole (outcome, evaluations, mode, seed, details) of verdicts that no
+# golden report covers, so a detail added or lost, a stray note say, shows
 REWIRED_VERDICTS = [
     (lambda: square_zero_nilpotency(M2F2, 1),
-     ("holds", 16, {"d": 1, "checked": 10, "skipped_non_nilpotent": 6})),
+     ("holds", 16, "exhaustive", None, {"d": 1, "checked": 10, "skipped_non_nilpotent": 6})),
     (lambda: square_zero_nilpotency(T3F2, 1),
-     ("holds", 36, {"d": 1, "checked": 36, "skipped_non_nilpotent": 0})),
+     ("holds", 36, "exhaustive", None, {"d": 1, "checked": 36, "skipped_non_nilpotent": 0})),
     (lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=50, seed=2),
-     ("holds", 50, {"d": 1, "checked": 41, "skipped_non_nilpotent": 9})),
+     ("holds", 50, "random", 2, {"d": 1, "checked": 41, "skipped_non_nilpotent": 9})),
     (lambda: quotient_pi_check(2, samples=50, seed=3),
-     ("holds", 50, {"s2_at_units": "x*y - y*x",
-                    "s3_at_units": "-x*y + y*x + x*y*x + y*x*y + 2*x*y*x*y + y*x*y*x",
-                    "s2_nonzero": True, "s3_nonzero": True, "samples": 50})),
+     ("holds", 50, "random", 3, {**QUOTIENT_UNITS, "samples": 50})),
+    (lambda: check_lpi(M2F2, LaurentElement.zero(ZZ)),
+     ("holds", 0, "exhaustive", None, {"note": "zero element vanishes identically"})),
+    (lambda: check_group_identity(M2F2, Word()),
+     ("holds", 0, "exhaustive", None, {"note": "empty word is trivially the identity"})),
+    (lambda: quotient_pi_check(1, seed=5),
+     ("counterexample", 2, "deterministic", 5,
+      {**QUOTIENT_UNITS, "note": "S_2 fails on the unit group; nothing to sample for n = 1"})),
+    (lambda: vandermonde_nil(UniPoly(ZZ, [0, 0, 1]), matrix_unit(ZZ, 2, 1, 2),
+                             Matrix(ZZ, [[0, 0], [0, 1]]), [1, 2])[1],
+     ("holds", 3, "deterministic", None,
+      {"components_zero": True, "degree": 2, "vu_power_zero": True})),
 ]
 
 
 @pytest.mark.parametrize("call, expected", REWIRED_VERDICTS,
                          ids=["square_zero/M2", "square_zero/T3", "square_zero/random",
-                              "quotient/n=2"])
+                              "quotient/n=2", "check_lpi/zero", "check_group_identity/empty",
+                              "quotient/n=1", "vandermonde"])
 def test_search_verdicts_are_pinned(call, expected):
     v = call()
-    assert (v.outcome, v.evaluations, v.details) == expected
+    assert (v.outcome, v.evaluations, v.mode, v.seed, v.details) == expected
 
 
-# every first-hit search, in each of its modes
+# every first-hit search, in each of its modes, and every other call that
+# returns a Verdict: a survey, a solve and the early answers
 FIRST_HIT_SEARCHES = [
     lambda: check_lpi(M2F2, S3),
     lambda: check_lpi(M2F2, S3, mode="random", budget=20, seed=1),
@@ -1228,13 +1261,24 @@ FIRST_HIT_SEARCHES = [
     lambda: square_zero_nilpotency(M2F2, 1),
     lambda: square_zero_nilpotency(M2F2, 1, mode="random", budget=20, seed=1),
     lambda: quotient_pi_check(2, samples=20, seed=1),
+    lambda: nil_exponent_search(M2F2),
+    lambda: nil_exponent_search(M2F2, mode="random", budget=20, seed=1),
+    lambda: vandermonde_nil(UniPoly(ZZ, [0, 0, 1]), matrix_unit(ZZ, 2, 1, 2),
+                            Matrix(ZZ, [[0, 0], [0, 1]]), [1, 2]),
+    lambda: check_lpi(M2F2, LaurentElement.zero(ZZ)),
+    lambda: check_lpi(M2F2, LaurentElement.one(ZZ)),
+    lambda: check_group_identity(M2F2, Word()),
+    lambda: quotient_pi_check(1),
 ]
 
 
 @pytest.mark.parametrize("call", FIRST_HIT_SEARCHES,
                          ids=["check_lpi", "check_lpi/random", "al_verify",
                               "check_group_identity", "check_group_identity/random",
-                              "square_zero", "square_zero/random", "quotient"])
+                              "square_zero", "square_zero/random", "quotient",
+                              "nilbound", "nilbound/random", "vandermonde", "check_lpi/zero",
+                              "check_lpi/prefilter", "check_group_identity/empty",
+                              "quotient/n=1"])
 def test_every_first_hit_search_runs_the_one_driver(monkeypatch, call):
     entries = []
     search = checkers._search

@@ -300,6 +300,10 @@ def test_parse_error_gives_its_position_once():
     code, out, err = run_cli("parse", "--expr", "x1^+2")
     assert (code, out) == (2, "")
     assert err == "error: parse error: expected INT, found '+' (line 1, column 4)\n"
+    # a fault in the whole text has no position to give
+    code, out, err = run_cli("check-gi", "--word", "2*x1", "--algebra", "M2@Fp:2")
+    assert (code, out) == (2, "")
+    assert err == "error: parse error: not a single word with coefficient 1: '2*x1'\n"
 
 
 def test_parse_s8_report_is_pinned():
