@@ -2,6 +2,11 @@
 exact rings, with enumeration, sampling, unit detection and evaluation of
 Laurent elements.
 
+Each family is a rule for its free positions, which an Algebra fixes once
+at construction. Every matrix the family builds (enumerated, drawn, or
+rebuilt to test membership) goes through one placement, Algebra._place,
+which puts reduced scalars at positions and zeros everywhere else.
+
 Enumeration order is row-major lexicographic on the free entries. That
 order is part of the contract: "first counterexample" stays the same
 artifact across runs, so reports can be diffed.
@@ -17,10 +22,11 @@ DIMENSION_CAP = 6
 INT_SAMPLE_BOUND = 9
 SAMPLE_RETRIES = 256  # draws before a rejection sampler gives up
 
+# each family's free positions at dimension n, in row-major order
 _FAMILIES = {
-    "M": "full",
-    "T": "upper_triangular",
-    "D": "diagonal",
+    "M": lambda n: [(i, j) for i in range(n) for j in range(n)],
+    "T": lambda n: [(i, j) for i in range(n) for j in range(i, n)],
+    "D": lambda n: [(i, i) for i in range(n)],
 }
 
 
@@ -220,7 +226,7 @@ class Algebra:
     """A named family of matrices: M (full), T (upper triangular) or
     D (diagonal), of a fixed dimension over a fixed ring."""
 
-    __slots__ = ("family", "n", "ring")
+    __slots__ = ("family", "n", "ring", "_positions")
 
     def __init__(self, family, n, ring):
         if family not in _FAMILIES:
@@ -230,29 +236,27 @@ class Algebra:
         self.family = family
         self.n = n
         self.ring = ring
+        self._positions = tuple(_FAMILIES[family](n))
 
     def descriptor(self):
         return f"{self.family}{self.n}@{self.ring.descriptor()}"
 
     def positions(self):
+        return list(self._positions)
+
+    def _place(self, values, positions=None):
+        """The matrix with values at positions, by default the free ones,
+        and zero elsewhere; values must be ring-reduced scalars."""
         n = self.n
-        if self.family == "M":
-            return [(i, j) for i in range(n) for j in range(n)]
-        if self.family == "T":
-            return [(i, j) for i in range(n) for j in range(n) if j >= i]
-        return [(i, i) for i in range(n)]
+        rows = [[self.ring.zero] * n for _ in range(n)]
+        for (i, j), v in zip(self._positions if positions is None else positions, values):
+            rows[i][j] = v
+        return Matrix._trusted(self.ring, tuple(map(tuple, rows)))
 
     def contains(self, m):
         if not isinstance(m, Matrix) or m.ring != self.ring or m.n != self.n:
             return False
-        free = set(self.positions())
-        z = self.ring.zero
-        return all(
-            m.entries[i][j] == z
-            for i in range(self.n)
-            for j in range(self.n)
-            if (i, j) not in free
-        )
+        return m == self._place([m.entries[i][j] for i, j in self._positions])
 
     def identity(self):
         return identity(self.ring, self.n)
@@ -263,7 +267,7 @@ class Algebra:
     def size(self):
         if not isinstance(self.ring, PrimeField):
             return None
-        return self.ring.p ** len(self.positions())
+        return self.ring.p ** len(self._positions)
 
     def _require_enumerable(self, cap):
         _check_cap(cap)
@@ -281,16 +285,9 @@ class Algebra:
 
     def enumerate_elements(self, cap=DEFAULT_CAP):
         self._require_enumerable(cap)
-        p = self.ring.p
-        pos = self.positions()
-        n = self.n
-        zero = self.ring.zero
-        for vals in itertools.product(range(p), repeat=len(pos)):
-            rows = [[zero] * n for _ in range(n)]
-            for (i, j), v in zip(pos, vals):
-                rows[i][j] = v
-            # residues in [0, p) are already reduced
-            yield Matrix._trusted(self.ring, tuple(map(tuple, rows)))
+        # residues in [0, p) are already reduced
+        for vals in itertools.product(range(self.ring.p), repeat=len(self._positions)):
+            yield self._place(vals)
 
     def inverse(self, m):
         """The inverse of m when m is a unit of this algebra, else None."""
@@ -308,12 +305,7 @@ class Algebra:
                 yield m
 
     def sample_element(self, rng):
-        pos = self.positions()
-        n = self.n
-        rows = [[self.ring.zero] * n for _ in range(n)]
-        for i, j in pos:
-            rows[i][j] = self._random_scalar(rng)
-        return Matrix._trusted(self.ring, tuple(map(tuple, rows)))
+        return self._place([self._random_scalar(rng) for _ in self._positions])
 
     def _random_scalar(self, rng):
         """A random scalar of the ring, already reduced."""
@@ -350,22 +342,16 @@ class Algebra:
                 return self.zero()
             i = next(k for k, x in enumerate(v) if x != R.zero)
             w = [self._random_scalar(rng) for _ in range(n)]
-            acc = R.zero
-            for k in range(n):
-                if k != i:
-                    acc = R.add(acc, R.mul(w[k], v[k]))
-            w[i] = R.neg(R.mul(acc, R.inv(v[i])))
-            m = Matrix._trusted(R, tuple(tuple(R.mul(v[r], w[c]) for c in range(n))
-                                         for r in range(n)))
+            # w[i] solves w^T v = 0 given the others
+            w[i] = R.zero
+            w[i] = R.neg(R.mul(R.dot(w, v), R.inv(v[i])))
+            m = self._place([R.mul(v[r], w[c]) for r, c in self._positions])
             if not m.mul(m).is_zero():
                 raise PreconditionError("square-zero construction failed")
             return m
+        upper = [(i, j) for i, j in self._positions if j > i]
         for _ in range(SAMPLE_RETRIES):
-            rows = [[R.zero] * n for _ in range(n)]
-            for i, j in self.positions():
-                if j > i:
-                    rows[i][j] = self._random_scalar(rng)
-            m = Matrix._trusted(R, tuple(map(tuple, rows)))
+            m = self._place([self._random_scalar(rng) for _ in upper], upper)
             if m.mul(m).is_zero():
                 return m
         raise PreconditionError(f"no square-zero element found in {SAMPLE_RETRIES} draws")
@@ -378,20 +364,19 @@ class Algebra:
         R = self.ring
         if not R.is_field:
             raise PreconditionError("random annihilator sampling needs a field")
-        pos = self.positions()
-        rows = [[R.zero] * self.n for _ in range(self.n)]
         kernels = {}
+        values, where = [], []
         for j in range(self.n):
-            free = tuple(i for i, c in pos if c == j)
+            free = tuple(i for i, c in self._positions if c == j)
             if free not in kernels:
                 kernels[free] = _kernel(R, [[r[i] for i in free] for r in b.entries], len(free))
             col = [R.zero] * len(free)
             for vec in kernels[free]:
                 c = self._random_scalar(rng)
                 col = [R.add(x, R.mul(c, v)) for x, v in zip(col, vec)]
-            for i, x in zip(free, col):
-                rows[i][j] = x
-        return Matrix._trusted(R, tuple(map(tuple, rows)))
+            values += col
+            where += [(i, j) for i in free]
+        return self._place(values, where)
 
 
 def parse_algebra(text):

@@ -21,6 +21,13 @@ parenthesized Laurent expression is accepted exactly when the content is
 a single word with coefficient 1; anything else has no inverse worth
 guessing at.
 
+The parser refuses, with a parse error at the operator, any product, a
+power's steps included, that would pair more than MAX_TERM_PAIRS (2^20)
+terms or could build a word of more than MAX_SYLLABLES (2^13) syllables
+(letters, in the quotient context). Such an expression would take
+minutes to build or to compile; x1^1000000 stays one syllable and
+(x1 + x2)^20 pairs exactly 2^20 terms, so both still parse.
+
 Reports are JSON objects on standard output, one per invocation, with a
 fixed top-level shape (see report_schema.json); all diagnostics go to
 standard error. Exit status 0 means the check held or the requested
@@ -60,9 +67,11 @@ from .group_algebra import (
 )
 from .matrix_algebra import DEFAULT_CAP, Matrix, parse_algebra
 from .quotient_algebra import QuotientElement
-from .rings import ZZ, FormalSum, PrimeField, UniPoly, ring_from_descriptor
+from .rings import ZZ, FormalSum, PrimeField, UniPoly, power, ring_from_descriptor
 
 MAX_VARIABLES = 8
+MAX_TERM_PAIRS = 2**20
+MAX_SYLLABLES = 2**13
 
 Token = namedtuple("Token", "kind text line col")
 
@@ -86,6 +95,40 @@ def tokenize(text):
             tokens.append(Token(kind, m.group(), line, col))
     tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _longest(e):
+    """The syllables in e's longest word; a quotient word alternates, so
+    each of its letters is a syllable."""
+    return max((len(w.syllables) if isinstance(w, Word) else len(w) for w in e.terms),
+               default=0)
+
+
+def _checked_mul(a, b, tok):
+    """a * b, refused at tok when it is over the parser's limits."""
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > MAX_TERM_PAIRS:
+        raise ParseError(f"a product of {pairs} term pairs is over the limit of "
+                         f"{MAX_TERM_PAIRS}", tok.line, tok.col)
+    syllables = _longest(a) + _longest(b)
+    if syllables > MAX_SYLLABLES:
+        raise ParseError(f"a product could build a word of {syllables} syllables, over the "
+                         f"limit of {MAX_SYLLABLES}", tok.line, tok.col)
+    return a.mul(b)
+
+
+class _Checked:
+    """An element whose products are checked at tok, so that the shared
+    square-and-multiply checks each step of a power."""
+
+    __slots__ = ("value", "tok")
+
+    def __init__(self, value, tok):
+        self.value = value
+        self.tok = tok
+
+    def mul(self, other):
+        return _Checked(_checked_mul(self.value, other.value, self.tok), self.tok)
 
 
 class _Parser:
@@ -147,8 +190,8 @@ class _Parser:
 
     def term(self):
         e = self.factor()
-        while self.accept("*"):
-            e = e.mul(self.factor())
+        while star := self.accept("*"):
+            e = _checked_mul(e, self.factor(), star)
         return e
 
     def factor(self):
@@ -163,17 +206,16 @@ class _Parser:
         return sign * int(self.take("INT").text)
 
     def _power(self, a, k, caret):
-        if k >= 0:
-            return a.power(k)
-        if self.context == "quotient":
-            raise ParseError("negative exponents have no meaning in the quotient algebra",
-                             caret.line, caret.col)
-        terms = list(a.terms.items())
-        if len(terms) != 1 or terms[0][1] != self.ring.one:
-            raise ParseError("only a single word with coefficient 1 can be inverted",
-                             caret.line, caret.col)
-        word = terms[0][0] ** k
-        return LaurentElement.from_word(self.ring, word)
+        if k < 0:
+            if self.context == "quotient":
+                raise ParseError("negative exponents have no meaning in the quotient algebra",
+                                 caret.line, caret.col)
+            terms = list(a.terms.items())
+            if len(terms) != 1 or terms[0][1] != self.ring.one:
+                raise ParseError("only a single word with coefficient 1 can be inverted",
+                                 caret.line, caret.col)
+            a, k = LaurentElement.from_word(self.ring, terms[0][0].inverse()), -k
+        return power(_Checked(a, caret), k, _Checked(a.one_like(), caret)).value
 
     def atom(self):
         tok = self.peek()

@@ -14,7 +14,8 @@ matrices, `nilbound_m2f3_random` from the commit before every
 family drew its right annihilators from kernels of b, and the two random
 S_k cases on M3 (`check_lpi_s6_m3zz_random`, `check_lpi_s5_m3f2_random`)
 from the commit before values took the last-syllable split in place of
-the subset DP, so a change to the internals that alters any report text
+the subset DP, `nilbound_t3f2_mmax1_random` from the commit before every
+family placed its free entries through one helper, so a change to the internals that alters any report text
 shows up here.
 
     python tests/test_golden_reports.py             # list the cases
@@ -94,6 +95,11 @@ CASES = {
     "nilbound_m2f3_random": (
         ["nilbound", "--algebra", "M2@Fp:3", "--mode", "random", "--seed", "4", "--budget",
          "200"], 1),
+    # random nilbound on T3, whose witness pins the strictly upper
+    # square-zero draws, the T right annihilators and sample_element
+    "nilbound_t3f2_mmax1_random": (
+        ["nilbound", "--algebra", "T3@Fp:2", "--m-max", "1", "--mode", "random", "--seed",
+         "5"], 1),
     # UniPoly in the report: a given polynomial and random ones, frozen
     # from the commit before UniPoly became a FormalSum; the idempotent
     # survey and a high power's confirmation from the same commit

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,8 @@ from lpilab.errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, gi_to_lpi, standard_polynomial
 from lpilab.matrix_algebra import (
+    INT_SAMPLE_BOUND,
+    SAMPLE_RETRIES,
     Algebra,
     Matrix,
     det,
@@ -23,7 +26,7 @@ from lpilab.matrix_algebra import (
     zeros,
 )
 from lpilab.quotient_algebra import QuotientElement, sample_element
-from lpilab.rings import QQ, ZZ, PrimeField, ring_from_descriptor
+from lpilab.rings import QQ, ZZ, PrimeField, _kernel, ring_from_descriptor
 from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
@@ -453,3 +456,138 @@ def test_enumerated_matrices_equal_their_revalidated_copies(descriptor):
     elements = list(algebra.enumerate_elements())
     assert len(set(elements)) == algebra.size()
     assert all(_as_validated(algebra, m) for m in elements)
+
+
+# ---------------------------------------------------------------------------
+# the family layer against the loops it replaced: each family's positions,
+# membership, enumeration order and random streams, draw by draw
+
+
+def _ref_positions(alg):
+    n = alg.n
+    if alg.family == "M":
+        return [(i, j) for i in range(n) for j in range(n)]
+    if alg.family == "T":
+        return [(i, j) for i in range(n) for j in range(n) if j >= i]
+    return [(i, i) for i in range(n)]
+
+
+def _ref_contains(alg, m):
+    if not isinstance(m, Matrix) or m.ring != alg.ring or m.n != alg.n:
+        return False
+    free = set(_ref_positions(alg))
+    z = alg.ring.zero
+    return all(m.entries[i][j] == z for i in range(alg.n) for j in range(alg.n)
+               if (i, j) not in free)
+
+
+def _ref_scalar(alg, rng):
+    if isinstance(alg.ring, PrimeField):
+        return rng.randrange(alg.ring.p)
+    return alg.ring.from_int(rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND))
+
+
+def _ref_enumerate(alg):
+    pos, n, zero = _ref_positions(alg), alg.n, alg.ring.zero
+    for vals in itertools.product(range(alg.ring.p), repeat=len(pos)):
+        rows = [[zero] * n for _ in range(n)]
+        for (i, j), v in zip(pos, vals):
+            rows[i][j] = v
+        yield Matrix(alg.ring, rows)
+
+
+def _ref_sample_element(alg, rng):
+    n = alg.n
+    rows = [[alg.ring.zero] * n for _ in range(n)]
+    for i, j in _ref_positions(alg):
+        rows[i][j] = _ref_scalar(alg, rng)
+    return Matrix(alg.ring, rows)
+
+
+def _ref_sample_square_zero(alg, rng):
+    R, n = alg.ring, alg.n
+    if alg.family == "M" and R.is_field:
+        v = [_ref_scalar(alg, rng) for _ in range(n)]
+        if all(x == R.zero for x in v):
+            return zeros(R, n)
+        i = next(k for k, x in enumerate(v) if x != R.zero)
+        w = [_ref_scalar(alg, rng) for _ in range(n)]
+        acc = R.zero
+        for k in range(n):
+            if k != i:
+                acc = R.add(acc, R.mul(w[k], v[k]))
+        w[i] = R.neg(R.mul(acc, R.inv(v[i])))
+        return Matrix(R, [[R.mul(v[r], w[c]) for c in range(n)] for r in range(n)])
+    for _ in range(SAMPLE_RETRIES):
+        rows = [[R.zero] * n for _ in range(n)]
+        for i, j in _ref_positions(alg):
+            if j > i:
+                rows[i][j] = _ref_scalar(alg, rng)
+        m = Matrix(R, rows)
+        if m.mul(m).is_zero():
+            return m
+    raise AssertionError("no square-zero draw")
+
+
+def _ref_sample_right_annihilator(alg, b, rng):
+    R, n = alg.ring, alg.n
+    pos = _ref_positions(alg)
+    rows = [[R.zero] * n for _ in range(n)]
+    kernels = {}
+    for j in range(n):
+        free = tuple(i for i, c in pos if c == j)
+        if free not in kernels:
+            kernels[free] = _kernel(R, [[r[i] for i in free] for r in b.entries], len(free))
+        col = [R.zero] * len(free)
+        for vec in kernels[free]:
+            c = _ref_scalar(alg, rng)
+            col = [R.add(x, R.mul(c, v)) for x, v in zip(col, vec)]
+        for i, x in zip(free, col):
+            rows[i][j] = x
+    return Matrix(R, rows)
+
+
+def _full_ring_matrix(ring, n, rng):
+    """A matrix of the whole ring, half its entries zero, so that the
+    families' members and non-members are both drawn."""
+    def entry():
+        return 0 if rng.random() < 0.5 else rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND)
+    return Matrix(ring, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+REFERENCE_ALGEBRAS = [Algebra(family, n, ring) for family in "MTD" for n in (1, 2, 3)
+                      for ring in (ZZ, f2, f3, PrimeField(5))]
+
+
+def _projected(alg, m):
+    """m with every entry outside the family's free positions made zero."""
+    free = set(_ref_positions(alg))
+    return Matrix(alg.ring, [[x if (i, j) in free else 0 for j, x in enumerate(row)]
+                             for i, row in enumerate(m.entries)])
+
+
+@pytest.mark.parametrize("alg", REFERENCE_ALGEBRAS, ids=Algebra.descriptor)
+def test_family_layer_matches_the_reference_loops(alg):
+    assert alg.positions() == _ref_positions(alg)
+    if alg.size() is not None and alg.size() <= 125:
+        assert list(alg.enumerate_elements()) == list(_ref_enumerate(alg))
+    rng = random.Random(alg.descriptor())
+    others = [_full_ring_matrix(alg.ring, alg.n, rng) for _ in range(200)]
+    assert [alg.contains(m) for m in others] == [_ref_contains(alg, m) for m in others]
+    if alg.family != "M" and alg.n > 1:
+        assert not all(alg.contains(m) for m in others)
+    bs = [alg.zero(), alg.identity()] + [_projected(alg, m) for m in others[:48]]
+    for seed in (0, 7, 2024):
+        streams = [(alg.sample_element, _ref_sample_element),
+                   (alg.sample_square_zero, _ref_sample_square_zero)]
+        for draw, ref in streams:
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert draw(got) == ref(alg, want)
+            assert got.random() == want.random()
+        if alg.ring.is_field:
+            got, want = random.Random(seed), random.Random(seed)
+            for b in bs:
+                assert (alg.sample_right_annihilator(b, got)
+                        == _ref_sample_right_annihilator(alg, b, want))
+            assert got.random() == want.random()

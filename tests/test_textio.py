@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -288,12 +289,41 @@ def test_exit_code_two_on_errors():
         ["check-lpi", "--expr", "x1", "--algebra", "M²@Fp:2"],
         ["parse", "--expr", "1", "--ring", "Fp:²"],
         ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:²"],
+        # too large to build or to compile: each of these used to run for
+        # seconds to minutes, and is refused at once
+        ["parse", "--expr", "S(8)*S(8)"],
+        ["check-gi", "--word", "(x1*x2)^100000", "--algebra", "M2@Fp:2"],
+        ["parse", "--expr", "(x1*x2)^1000000"],
     ]
     for argv in cases:
+        start = time.perf_counter()
         code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1, argv
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert not out.strip(), argv
+
+
+def test_parser_limits_refuse_at_the_operator(monkeypatch):
+    # a word of 2 syllables to the power k has 2k of them; one syllable
+    # stays one syllable whatever its exponent
+    assert len(next(iter(parse_element("(x1*x2)^4096").terms)).syllables) == 2**13
+    assert parse_element("x1^1000000") == LaurentElement.from_word(ZZ, Word.gen(1, 10**6))
+    for text, col in (("(x1*x2)^4097", 8), ("(x1*x2)^-4097", 8),
+                      ("(x1*x2)^4096*x3", 13), ("x3*(x1*x2)^4096", 3)):
+        with pytest.raises(ParseError, match="syllables") as info:
+            parse_element(text)
+        assert (info.value.line, info.value.col) == (1, col), text
+    with pytest.raises(ParseError, match="syllables"):
+        parse_element("(x*y)^4097", ZZ, "quotient")
+    # (x1 + x2)^20 pairs exactly 2^20 terms in its last product; the same
+    # boundary at 2^6 is cheaper to build
+    monkeypatch.setattr("lpilab.textio.MAX_TERM_PAIRS", 2**6)
+    assert len(parse_element("(x1 + x2)^6").terms) == 2**6
+    for text, col in (("(x1 + x2)^7", 10), ("(x1 + x2)^3*(x1 + x2)^4", 12)):
+        with pytest.raises(ParseError, match="term pairs") as info:
+            parse_element(text)
+        assert (info.value.line, info.value.col) == (1, col), text
 
 
 def test_parse_error_gives_its_position_once():
