@@ -15,12 +15,11 @@ evaluator:
 - every identity search runs one compiled program, built from the
   element by `group_algebra._staged_program`: on the index tables in
   exhaustive mode, on matrices or quotient elements in random mode.
-  `evaluate` and `q_evaluate` run the same program through
-  `LaurentElement.at`, and an exhaustive hit takes its reported value
-  from `evaluate`. All these hits are confirmed by `_plain_eval`, a
-  term-by-term fold with no tables, no programs and no power or inverse
-  caches. It must stay apart from the programs: a defect in them would
-  otherwise reproduce itself in the confirmation;
+  Every search reports the value its own program computed at the hit,
+  and `_plain_eval` confirms that value: a term-by-term fold with no
+  tables, no programs and no power or inverse caches. It must stay apart
+  from the programs: a defect in them would otherwise reproduce itself
+  in the confirmation;
 - group identities w = 1 are the identity search of 1 - w over the units,
   so their hits are confirmed as the hits above are;
 - the nil searches recompute their witnesses with matrix products taken
@@ -53,7 +52,6 @@ from .matrix_algebra import (
     Algebra,
     Matrix,
     _check_cap,
-    evaluate,
     identity,
     mat_inverse,
     matrix_unit,
@@ -348,8 +346,9 @@ def _trailing_block(tb, e):
 
 def _scan(tb, e, ground):
     """Sweep ground**nvars in lexicographic order, returning the first tuple
-    of indices where e evaluates to nonzero (None when there is none) and
-    the evaluation count, the hit's position in that order.
+    of indices where e evaluates to nonzero, the index of e's value there
+    (both None when there is none) and the evaluation count, the hit's
+    position in that order.
 
     A zero test settles whole subtrees of the trailing block
     (_trailing_block) without sweeping them. Fix every other variable and
@@ -384,7 +383,7 @@ def _scan(tb, e, ground):
     ZERO = tb.zero
     if nvars == 0:
         # constant element: one trivial evaluation decides everything
-        return (() if value() != ZERO else None), 1
+        return ((), found, 1) if (found := value()) != ZERO else (None, None, 1)
     assign = [0] * nvars
     last = nvars - 1
     evaluations = 0
@@ -408,28 +407,29 @@ def _scan(tb, e, ground):
         nonlocal evaluations
         if d >= block and vanishes(d):
             evaluations += size[d]
-            return False
+            return None
         if d == last:
             for count, idx in enumerate(ground, 1):
                 enter(d, idx)
-                if value() != ZERO:
+                if (found := value()) != ZERO:
                     evaluations += count
                     assign[d] = idx
-                    return True
+                    return found
             evaluations += len(ground)
         else:
             for idx in ground:
                 assign[d] = idx
                 enter(d, idx)
-                if rec(d + 1):
-                    return True
+                if (found := rec(d + 1)) is not None:
+                    return found
         # a subtree of the elements that failed its test holds a hit
         if d >= block and elements:
             raise SolveError("the zero test found a value the scan did not; "
                              "implementation bug")
-        return False
+        return None
 
-    return (tuple(assign) if rec(0) else None), evaluations
+    found = rec(0)
+    return (None if found is None else tuple(assign)), found, evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +439,10 @@ def _scan(tb, e, ground):
 def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, details):
     """The _search behind check_lpi, al_verify and check_group_identity:
     in exhaustive mode one _scan of the tuple space on the index tables,
-    whose hit takes its value from evaluate, or in random mode e's program
-    compiled once over the algebra's matrices and run at seeded samples.
-    Either way _plain_eval must reproduce the witness's value."""
+    or in random mode e's program compiled once over the algebra's
+    matrices and run at seeded samples. Either way the witness's value is
+    the one that program computed at the hit, and _plain_eval must
+    reproduce it."""
     vars_sorted = sorted(e.variables())
 
     def scan():
@@ -452,10 +453,10 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, detai
             raise CapExceeded(f"tuple space {space} exceeds the cap {cap}; "
                               "lower the dimension or use random mode")
         details.update(ground=ground_kind, ground_size=len(ground), tuple_space=space)
-        hit, count = _scan(tb, e, ground)
+        hit, value, count = _scan(tb, e, ground)
         if hit is not None:
             assignment = dict(zip(vars_sorted, (tb.elements[i] for i in hit)))
-            hit = {"assignment": assignment, "value": evaluate(e, assignment)}
+            hit = {"assignment": assignment, "value": tb.elements[value]}
         yield hit, count
 
     if mode == "random":
@@ -498,9 +499,10 @@ def check_lpi(algebra, e, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     emb = embed_into(e.ring, algebra.ring)
     csum = emb(e.coefficient_sum())
     if csum != algebra.ring.zero:
+        # every word is 1 at the identity tuple, so e's value there is csum
         ident = algebra.identity()
         assignment = {g: ident for g in (sorted(e.variables()) or [1])}
-        hit = {"assignment": assignment, "value": evaluate(e, assignment)}
+        hit = {"assignment": assignment, "value": ident.scale(csum)}
         return _search(t0, [(hit, 1)], _reproduced_by(e), mode, seed, {
             "ground": ground_kind,
             "prefilter": "coefficient sum is nonzero, the identity tuple violates",

@@ -28,6 +28,18 @@ terms or could build a word of more than MAX_SYLLABLES (2^13) syllables
 minutes to build or to compile; x1^1000000 stays one syllable and
 (x1 + x2)^20 pairs exactly 2^20 terms, so both still parse.
 
+Python refuses to print an integer of more than 4300 digits, so the
+parser also keeps every integer it builds well below that: it refuses,
+at the literal, an INT of more than MAX_INT_DIGITS (1000) digits, and,
+at the operator, any product or power step that could build a
+coefficient, or any power that could build an exponent, of more than
+MAX_INT_BITS (10,000) bits, about 3,000 digits; 2^1000 still parses.
+Adding n integers, as sums do to coefficients and products to the
+exponents of the syllables they merge, adds at most log2(n) bits, far
+too few to matter. A report refuses, with exit 2, any integer of more
+than MAX_REPORT_DIGITS (4300) digits, such as an entry of a witness
+value that a search computed.
+
 Reports are JSON objects on standard output, one per invocation, with a
 fixed top-level shape (see report_schema.json); all diagnostics go to
 standard error. Exit status 0 means the check held or the requested
@@ -72,6 +84,12 @@ from .rings import ZZ, FormalSum, PrimeField, UniPoly, power, ring_from_descript
 MAX_VARIABLES = 8
 MAX_TERM_PAIRS = 2**20
 MAX_SYLLABLES = 2**13
+MAX_INT_DIGITS = 1000
+MAX_INT_BITS = 10_000
+# CPython's default limit on int -> str, fixed here so that every Python
+# refuses the same reports
+MAX_REPORT_DIGITS = 4300
+_REPORT_BOUND = 10**MAX_REPORT_DIGITS
 
 Token = namedtuple("Token", "kind text line col")
 
@@ -97,6 +115,15 @@ def tokenize(text):
     return tokens
 
 
+def _int(text, tok):
+    """int(text), refused at tok when text has more than MAX_INT_DIGITS
+    digits."""
+    if len(text) > MAX_INT_DIGITS:
+        raise ParseError(f"an integer of {len(text)} digits is over the limit of "
+                         f"{MAX_INT_DIGITS}", tok.line, tok.col)
+    return int(text)
+
+
 def _longest(e):
     """The syllables in e's longest word; a quotient word alternates, so
     each of its letters is a syllable."""
@@ -114,7 +141,18 @@ def _checked_mul(a, b, tok):
     if syllables > MAX_SYLLABLES:
         raise ParseError(f"a product could build a word of {syllables} syllables, over the "
                          f"limit of {MAX_SYLLABLES}", tok.line, tok.col)
+    # each coefficient of a*b sums at most `pairs` products of coefficients
+    bits = _bits(a) + _bits(b) + pairs.bit_length()
+    if bits > MAX_INT_BITS:
+        raise ParseError(f"a product could build a coefficient of {bits} bits, over the "
+                         f"limit of {MAX_INT_BITS}", tok.line, tok.col)
     return a.mul(b)
+
+
+def _bits(e):
+    """The bits of e's largest coefficient. The grammar's literals are
+    integers, so over QQ too every coefficient is a whole number."""
+    return max((c.numerator.bit_length() for c in e.terms.values()), default=0)
 
 
 class _Checked:
@@ -203,7 +241,8 @@ class _Parser:
 
     def signed_int(self):
         sign = -1 if self.accept("-") else 1
-        return sign * int(self.take("INT").text)
+        tok = self.take("INT")
+        return sign * _int(tok.text, tok)
 
     def _power(self, a, k, caret):
         if k < 0:
@@ -215,13 +254,20 @@ class _Parser:
                 raise ParseError("only a single word with coefficient 1 can be inverted",
                                  caret.line, caret.col)
             a, k = LaurentElement.from_word(self.ring, terms[0][0].inverse()), -k
+        if self.context == "laurent":
+            # a syllable of a**k merges syllables of k words of a, so its
+            # exponent is at most k times a word's sum of |exponents|
+            top = k * max((sum(abs(x) for _, x in w.syllables) for w in a.terms), default=0)
+            if top.bit_length() > MAX_INT_BITS:
+                raise ParseError(f"a power could build an exponent of {top.bit_length()} bits, "
+                                 f"over the limit of {MAX_INT_BITS}", caret.line, caret.col)
         return power(_Checked(a, caret), k, _Checked(a.one_like(), caret)).value
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "INT":
             self.take()
-            return self._constant(int(tok.text))
+            return self._constant(_int(tok.text, tok))
         if tok.kind == "NAME":
             return self._name()
         if self.accept("("):
@@ -243,7 +289,7 @@ class _Parser:
             self.take("OP", "(")
             arg = self.take("INT")
             self.take("OP", ")")
-            n = int(arg.text)
+            n = _int(arg.text, arg)
             if name == "S":
                 return standard_polynomial(n, self.ring)
             return al_f2(n, self.ring)
@@ -252,7 +298,7 @@ class _Parser:
         if name == "y":
             return LaurentElement.from_word(self.ring, Word.gen(2))
         if name[0] == "x" and name[1:].isdigit():
-            idx = int(name[1:])
+            idx = _int(name[1:], tok)
             if 1 <= idx <= MAX_VARIABLES:
                 return LaurentElement.from_word(self.ring, Word.gen(idx))
             raise ParseError(f"variable index out of range: {name} (x1 .. x{MAX_VARIABLES})",
@@ -282,13 +328,24 @@ def parse_word(text):
 
 
 def serialize(v):
-    if v is None or isinstance(v, (bool, int, str)):
+    """v in JSON's types; an integer of more than MAX_REPORT_DIGITS digits,
+    a matrix entry or a coefficient among them, is refused."""
+    if v is None or isinstance(v, (bool, str)):
         return v
+    if isinstance(v, int):
+        if -_REPORT_BOUND < v < _REPORT_BOUND:
+            return v
+        raise LpiLabError(f"the report would hold an integer of more than "
+                          f"{MAX_REPORT_DIGITS} digits")
     if isinstance(v, Fraction):
+        serialize([v.numerator, v.denominator])
         return str(v)
     if isinstance(v, Matrix):
-        return v.as_lists()
-    if isinstance(v, (Word, FormalSum)):
+        return serialize(v.as_lists())
+    if isinstance(v, FormalSum):
+        serialize(list(v.terms.values()))
+        return v.format()
+    if isinstance(v, Word):
         return v.format()
     if isinstance(v, dict):
         return {

@@ -41,6 +41,7 @@ from lpilab.textio import main, parse_element, parse_word
 
 f2 = PrimeField(2)
 M2F2 = parse_algebra("M2@Fp:2")
+M2F3 = parse_algebra("M2@Fp:3")
 T3F2 = parse_algebra("T3@Fp:2")
 
 
@@ -154,7 +155,7 @@ def test_tables_build_the_rows_a_short_scan_reads():
     e = parse_element("x1*x2-x2*x1")
     for descriptor in ("M3@Fp:2", "T2@Fp:7"):
         tb = checkers._Tables(parse_algebra(descriptor))
-        hit, _ = checkers._scan(tb, e, list(range(tb.n)))
+        hit, _, _ = checkers._scan(tb, e, list(range(tb.n)))
         assert hit is not None
         assert len(tb.mul) <= 16, (descriptor, len(tb.mul))
 
@@ -319,15 +320,15 @@ def _per_tuple_sweep(tb, e, ground):
     every tuple and reads each tuple's value on its own."""
     nvars, enter, value = group_algebra._staged_program(tb, e)
     if nvars == 0:
-        return (() if value() != tb.zero else None), 1
+        return ((), value(), 1) if value() != tb.zero else (None, None, 1)
     count = 0
     for tup in itertools.product(ground, repeat=nvars):
         count += 1
         for d, idx in enumerate(tup):
             enter(d, idx)
         if value() != tb.zero:
-            return tup, count
-    return None, count
+            return tup, value(), count
+    return None, None, count
 
 
 def _assert_scan_is_the_sweep(tb, e, ground):
@@ -673,15 +674,16 @@ def test_values_take_the_last_syllable_split_and_tables_the_leaf_split():
     assert [_full_pass_counts(s4, T3F2.identity(), program)["mul"]
             for program in programs] == [28, 26, 28]
     # the tables: a scan, and al_verify
-    hit, count = checkers._scan(tb, s4, list(range(tb.n)))
+    hit, found, count = checkers._scan(tb, s4, list(range(tb.n)))
     assert count == 270609
     v = al_verify(2, 2)
     assert v.holds() and v.evaluations == 65536
-    # values: evaluate, which gives an exhaustive hit its value, and random
-    # mode
+    # values: evaluate at the scan's hit, where it gives the value the
+    # tables found, and random mode
     assignment = dict(enumerate((tb.elements[i] for i in hit), 1))
     value = evaluate(s4, assignment)
-    assert not value.is_zero() and value == checkers._plain_eval(s4, assignment)
+    assert not value.is_zero() and value == tb.elements[found]
+    assert value == checkers._plain_eval(s4, assignment)
     v = check_lpi(T3F2, s4, mode="random", budget=2000, seed=5)
     assert v.outcome == "counterexample" and v.evaluations == 5
     v = al_verify(2, 2, mode="random", budget=50, seed=1)
@@ -1152,21 +1154,36 @@ def _one_program(ops, e):
     return len(e.variables()), lambda d, idx: None, lambda: ops.one
 
 
+def _doubled_program(ops, e):
+    """e's program on the tables with each value v reported as v + v: over
+    F_3 nonzero exactly when v is, so the hits stay e's, but not e's value."""
+    nvars, enter, value = group_algebra._staged_program(ops, e)
+    return nvars, enter, lambda: ops.add[value()][value()]
+
+
 S3 = standard_polynomial(3)
 
 # (checker and mode, what to break in lpilab.checkers, or in the module
-# named, its stand-in, the call). Either the
-# confirming evaluator is broken, or, where the identity holds (al_verify,
-# quotient_pi_check for n >= 2), the search is broken into a false hit;
-# search and confirmation then disagree, so no verdict may come back.
+# named, its stand-in, the call). Either the confirming evaluator is
+# broken, or the search is broken into a false hit, or into the true hit
+# with a wrong value; search and confirmation then disagree, so no verdict
+# may come back.
 GATE_CASES = [
     ("check_lpi/prefilter", "_plain_eval", _zero_value,
      lambda: check_lpi(M2F2, gi_to_lpi(Word.gen(1, 2)) + LaurentElement.one(ZZ))),
-    ("check_lpi/exhaustive", "evaluate", _zero_value, lambda: check_lpi(M2F2, S3)),
+    # the scan's program reports a nonzero value at the first tuple, where
+    # S_3 and x1*x2^2 - x2^2*x1 vanish
+    ("check_lpi/exhaustive", "_staged_program", _one_program, lambda: check_lpi(M2F2, S3)),
+    ("check_lpi/exhaustive/generic", "_staged_program", _one_program,
+     lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
     ("check_lpi/random", "_plain_eval", _zero_value,
      lambda: check_lpi(M2F2, S3, mode="random", budget=200, seed=5)),
-    ("check_lpi/exhaustive/generic", "evaluate", _zero_value,
-     lambda: check_lpi(M2F2, parse_element("x1*x2^2-x2^2*x1"))),
+    # the report takes the value the scan computed, so a program that finds
+    # the true hit but doubles its value is refused
+    ("check_lpi/exhaustive/doubled", "_staged_program", _doubled_program,
+     lambda: check_lpi(M2F3, S3)),
+    ("check_group_identity/exhaustive/doubled", "_staged_program", _doubled_program,
+     lambda: check_group_identity(M2F3, parse_word("x1*x2*x1^-1*x2^-1"))),
     # the program for S_k, on the tables or on values, reports a nonzero
     # value at the first tuple or sample
     ("al_verify/exhaustive", "_staged_program", _one_program, lambda: al_verify(1, 2)),
@@ -1200,6 +1217,29 @@ def test_counterexample_needs_independent_confirmation(monkeypatch, name, target
     monkeypatch.setattr("lpilab." + (target if "." in target else "checkers." + target), stand_in)
     with pytest.raises(SolveError):
         call()
+
+
+def test_a_hit_is_compiled_once(monkeypatch):
+    # an exhaustive counterexample reports the value its scan's program
+    # computed, and the prefilter's value needs no program at all
+    calls = []
+    staged = group_algebra._staged_program
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return staged(*args, **kwargs)
+
+    monkeypatch.setattr(group_algebra, "_staged_program", spy)
+    monkeypatch.setattr(checkers, "_staged_program", spy)
+    for call, compiled in (
+        (lambda: check_lpi(M2F2, standard_polynomial(3)), 1),
+        (lambda: check_lpi(T3F2, standard_polynomial(4)), 1),
+        (lambda: check_group_identity(M2F2, parse_word("x1*x2*x1^-1*x2^-1")), 1),
+        (lambda: check_lpi(M2F3, parse_element("1+x1*x2^-1")), 0),
+    ):
+        calls.clear()
+        v = call()
+        assert v.outcome == "counterexample" and len(calls) == compiled, (v, len(calls))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -1305,7 +1345,6 @@ def test_unknown_mode_is_rejected():
             call()
 
 
-M2F3 = parse_algebra("M2@Fp:3")
 ONE_PLUS_X1 = parse_element("1+x1")
 
 

@@ -15,8 +15,10 @@ family drew its right annihilators from kernels of b, and the two random
 S_k cases on M3 (`check_lpi_s6_m3zz_random`, `check_lpi_s5_m3f2_random`)
 from the commit before values took the last-syllable split in place of
 the subset DP, `nilbound_t3f2_mmax1_random` from the commit before every
-family placed its free entries through one helper, so a change to the internals that alters any report text
-shows up here.
+family placed its free entries through one helper, and the exhaustive
+prefilter answer `check_lpi_prefilter_m2f3` from the commit before an
+exhaustive counterexample took its value from its own scan, so a change
+to the internals that alters any report text shows up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -108,6 +110,9 @@ CASES = {
         ["counterexample", "--count", "20", "--deg-max", "6", "--seed", "5"], 0),
     "idempotents_m2f2": (["idempotents", "--algebra", "M2@Fp:2"], 0),
     "check_lpi_x1e6_m2f2": (["check-lpi", "--expr", "x1^1000000-1", "--algebra", "M2@Fp:2"], 1),
+    # the prefilter's answer in exhaustive mode: the identity tuple, whose
+    # value is the coefficient sum times 1
+    "check_lpi_prefilter_m2f3": (["check-lpi", "--expr", "1+x1*x2^-1", "--algebra", "M2@Fp:3"], 1),
 }
 
 

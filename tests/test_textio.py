@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpilab.checkers import DEFAULT_BUDGET
-from lpilab.errors import ParseError
+from lpilab.errors import LpiLabError, ParseError
 from lpilab.freegroup import Word
 from lpilab.group_algebra import LaurentElement, al_f2, standard_polynomial
 from lpilab.matrix_algebra import DEFAULT_CAP
@@ -221,6 +221,20 @@ def test_serialize_shapes():
     assert serialize([1, True, None]) == [1, True, None]
 
 
+def test_serialize_refuses_integers_too_long_to_print():
+    from fractions import Fraction
+
+    from lpilab.matrix_algebra import Matrix
+
+    # 4300 digits is CPython's default int -> str limit, fixed here
+    assert serialize(-(10**4300 - 1)) == -(10**4300 - 1)
+    for too_long in (10**4300, -10**4300, Fraction(1, 10**4300),
+                     Matrix(ZZ, [[1, 0], [0, 10**4300]]),
+                     LaurentElement(ZZ, [(Word(((1, 1),)), 10**4300)]), {"g": [10**5000]}):
+        with pytest.raises(LpiLabError, match="4300 digits"):
+            serialize(too_long)
+
+
 SCHEMA = None
 
 
@@ -294,6 +308,17 @@ def test_exit_code_two_on_errors():
         ["parse", "--expr", "S(8)*S(8)"],
         ["check-gi", "--word", "(x1*x2)^100000", "--algebra", "M2@Fp:2"],
         ["parse", "--expr", "(x1*x2)^1000000"],
+        # integers too long to print: they used to end in a ValueError
+        # traceback with exit 1, from the parser's int() or from printing
+        ["parse", "--expr", "2^20000"],
+        ["witness", "--expr", "2^20000*x1+x1"],
+        ["parse", "--expr", "1" * 5000],
+        ["check-lpi", "--expr", "x1^" + "1" * 5000, "--algebra", "M2@Fp:2"],
+        ["parse", "--expr", "x" + "1" * 5000],
+        ["parse", "--expr", "((((x1^{0})^{0})^{0})^{0})^{0}".format("9" * 999)],
+        # a confirmed counterexample whose witness has 5,700-digit entries
+        ["check-lpi", "--expr", "x1^6000-1", "--algebra", "M2@ZZ", "--mode", "random",
+         "--seed", "1", "--budget", "1"],
     ]
     for argv in cases:
         start = time.perf_counter()
@@ -316,6 +341,23 @@ def test_parser_limits_refuse_at_the_operator(monkeypatch):
         assert (info.value.line, info.value.col) == (1, col), text
     with pytest.raises(ParseError, match="syllables"):
         parse_element("(x*y)^4097", ZZ, "quotient")
+    # integers: a literal of 1000 digits and 2^1000 parse; a longer literal,
+    # and a product, power step or power that could build an integer of
+    # more than 10,000 bits, are refused at the literal or the operator
+    assert parse_element("9" * 1000) == LaurentElement.one(ZZ).scale(10**1000 - 1)
+    assert parse_element("2^1000") == LaurentElement.one(ZZ).scale(2**1000)
+    big = "9" * 999
+    assert len(parse_element(f"((x1^{big})^{big})^{big}").format()) < 4300
+    long = "1" * 1001
+    for text, col, match in (
+            (long, 1, "digits"), (f"x1^-{long}", 5, "digits"), (f"x{long}", 1, "digits"),
+            (f"S({long})", 3, "digits"),
+            ("2^20000", 2, "coefficient"), ("x1 + 2^10000", 7, "coefficient"),
+            (f"{big}*{big}*{big}*{big}", 3000, "coefficient"),
+            (f"(((x1^{big})^{big})^{big})^{big}", 3009, "exponent")):
+        with pytest.raises(ParseError, match=match) as info:
+            parse_element(text)
+        assert (info.value.line, info.value.col) == (1, col), text[:20]
     # (x1 + x2)^20 pairs exactly 2^20 terms in its last product; the same
     # boundary at 2^6 is cheaper to build
     monkeypatch.setattr("lpilab.textio.MAX_TERM_PAIRS", 2**6)
