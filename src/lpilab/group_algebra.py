@@ -50,7 +50,8 @@ class LaurentElement(FormalSum):
         if not isinstance(word, Word):
             raise PreconditionError(f"term key must be a Word: {word!r}")
 
-    _sort_key = staticmethod(Word.sort_key)
+    # Word.sort_key's order, letter length then syllables
+    _sort_keys = (operator.attrgetter("syllables"), Word.letter_length)
     _key_text = staticmethod(Word.format)
     _key_mul = staticmethod(Word.__mul__)
 
@@ -66,7 +67,7 @@ class LaurentElement(FormalSum):
         return self.terms.get(word, self.ring.zero)
 
     def support(self):
-        return [w for w, _ in self.terms_sorted()]
+        return self._keys_sorted()
 
     def variables(self):
         out = set()
@@ -147,7 +148,7 @@ class OneVarLaurent(FormalSum):
         if not isinstance(e, int):
             raise PreconditionError(f"exponent of t must be an integer: {e!r}")
 
-    _sort_key = staticmethod(int)
+    _sort_keys = (int,)
     _key_mul = staticmethod(operator.add)
 
     @staticmethod

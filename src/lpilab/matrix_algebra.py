@@ -386,6 +386,8 @@ def parse_algebra(text):
     head, _, ringtext = text.partition("@")
     if not (head[:1] in _FAMILIES and head[1:].isascii() and head[1:].isdigit()):
         raise PreconditionError(f"bad algebra descriptor: {text!r}")
+    if len(head[1:].lstrip("0")) > len(str(DIMENSION_CAP)):  # int() refuses 4,301 digits
+        raise PreconditionError(f"dimension must lie in [1, {DIMENSION_CAP}]")
     return Algebra(head[0], int(head[1:]), ring_from_descriptor(ringtext))
 
 

@@ -37,9 +37,7 @@ class QuotientElement(FormalSum):
 
     _check_key = staticmethod(_check_word)
 
-    @staticmethod
-    def _sort_key(w):
-        return (len(w), w)
+    _sort_keys = (None, len)  # length, then the word
 
     _key_text = staticmethod("*".join)
 

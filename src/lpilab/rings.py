@@ -262,6 +262,8 @@ def ring_from_descriptor(text):
         digits = text[3:]
         if not (digits.isascii() and digits.isdigit()):
             raise PreconditionError(f"bad prime field literal: {text!r}")
+        if len(digits.lstrip("0")) > 10:  # 2**31 has 10 digits; int() refuses 4,301
+            raise PreconditionError(f"modulus must be below 2**31: {len(digits)} digits")
         return PrimeField(int(digits))
     raise PreconditionError(f"unknown ring literal: {text!r}")
 
@@ -296,6 +298,9 @@ def embed_into(src, dst):
     raise RingMismatch(f"no canonical embedding {src!r} -> {dst!r}")
 
 
+_JOIN_CHUNK = 512  # terms per " ".join in FormalSum.format
+
+
 class FormalSum:
     """A finite formal sum of monomials with coefficients in a ring.
 
@@ -303,9 +308,13 @@ class FormalSum:
     coefficients dropped, and the element is immutable, so equal sums
     compare, hash and print the same. A subclass names its unit monomial
     UNIT and supplies _check_key (validates a monomial or raises),
-    _sort_key (the print order), _key_text (the text of a monomial other
-    than UNIT) and _key_mul (the product of two monomials, or None where
-    it is zero), which mul uses.
+    _sort_keys (the print order: key functions, the least significant
+    first, each returning an object the monomial holds or a small int, so
+    _keys_sorted's stable sorts build no object per term), _key_text (the
+    text of a monomial other than UNIT) and _key_mul (the product of two
+    monomials, or None where it is zero), which mul uses. format joins
+    its terms _JOIN_CHUNK at a time, so it holds about its result's size
+    beyond the result whatever the term count.
 
     The public constructor validates: it checks every key and coerces
     every coefficient. Arithmetic on valid operands builds its result with
@@ -424,17 +433,24 @@ class FormalSum:
     def power(self, k):
         return power(self, k, self.one_like())
 
+    def _keys_sorted(self):
+        """The monomials in print order."""
+        keys = list(self.terms)
+        for sort_key in self._sort_keys:
+            keys.sort(key=sort_key)
+        return keys
+
     def terms_sorted(self):
-        sort_key = self._sort_key
-        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+        return [(key, self.terms[key]) for key in self._keys_sorted()]
 
     def format(self):
         """The sum as "a - 2*b + c" in print order: unit coefficients are
         left implicit on monomials, a leading minus sign binds without a
         space, and the empty sum is "0"."""
-        R, unit, text = self.ring, self.UNIT, self._key_text
-        parts = []
-        for key, c in self.terms_sorted():
+        R, unit, text, terms = self.ring, self.UNIT, self._key_text, self.terms
+        chunks, parts = [], []
+        for key in self._keys_sorted():
+            c = terms[key]
             neg = R.is_neg(c)
             mag = R.neg(c) if neg else c
             if key == unit:
@@ -443,11 +459,16 @@ class FormalSum:
                 body = text(key)
             else:
                 body = f"{R.format(mag)}*{text(key)}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
+            if parts or chunks:
                 parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts) or "0"
+            else:
+                parts.append(f"-{body}" if neg else body)
+            if len(parts) == _JOIN_CHUNK:
+                chunks.append(" ".join(parts))
+                parts.clear()
+        if parts:
+            chunks.append(" ".join(parts))
+        return " ".join(chunks) or "0"
 
     def __eq__(self, other):
         return (
@@ -482,7 +503,7 @@ class UniPoly(FormalSum):
     def _check_key(e):
         pass  # the constructor's keys come from enumerate
 
-    _sort_key = staticmethod(_neg)
+    _sort_keys = (_neg,)
     _key_mul = staticmethod(_add)
 
     @staticmethod

@@ -403,7 +403,8 @@ def _resolve_seed(args):
 # subcommand handlers
 
 
-def _cmd_parse(args):
+def _parse_details(args):
+    # a helper, so the parsed element is freed before the report is encoded
     ring = ring_from_descriptor(args.ring)
     e = parse_element(args.expr, ring, args.context)
     details = {"normal_form": e.format(), "context": args.context, "ring": ring.descriptor()}
@@ -413,7 +414,11 @@ def _cmd_parse(args):
         details["admissible"] = is_admissible(e)
     else:
         details["support"] = e.support_size()
-    return _emit_ok(args, details, omit=("expr",))
+    return details
+
+
+def _cmd_parse(args):
+    return _emit_ok(args, _parse_details(args), omit=("expr",))
 
 
 def _cmd_check_lpi(args):

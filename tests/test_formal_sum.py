@@ -3,6 +3,7 @@ and polynomial elements, and the compiled programs that evaluate and q_evaluate 
 checked against the plain re-verifier of the checkers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -412,3 +413,107 @@ def test_arithmetic_results_equal_their_revalidated_copies(args):
 def test_standard_polynomial_words_equal_their_revalidated_copies(n):
     for w in standard_polynomial(n).terms:
         assert Word(w.syllables) == w
+
+
+# the print order as one sort key per monomial, the order format had when
+# it sorted the items by a single key
+REFERENCE_SORT_KEY = {
+    LaurentElement: Word.sort_key,
+    QuotientElement: lambda w: (len(w), w),
+    OneVarLaurent: int,
+    UniPoly: lambda e: -e,
+}
+
+
+def reference_format(e):
+    """format as it read with one sort of the items and one join."""
+    R, unit, text = e.ring, e.UNIT, e._key_text
+    parts = []
+    for key, c in sorted(e.terms.items(), key=lambda t: REFERENCE_SORT_KEY[type(e)](t[0])):
+        neg = R.is_neg(c)
+        mag = R.neg(c) if neg else c
+        if key == unit:
+            body = R.format(mag)
+        elif mag == R.one:
+            body = text(key)
+        else:
+            body = f"{R.format(mag)}*{text(key)}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts) or "0"
+
+
+def random_key(cls, rng):
+    if cls is LaurentElement:
+        # exponents up to 150 in up to 4 syllables: words of more than 256
+        # letters, and many words of one length that the syllables order
+        return Word(tuple((rng.randint(1, 3), rng.choice([-1, 1]) * rng.choice([1, 2, 150]))
+                          for _ in range(rng.randint(0, 4))))
+    if cls is QuotientElement:
+        first = rng.randint(0, 1)
+        return "".join("xy"[(first + i) % 2] for i in range(rng.randint(0, 700)))
+    return rng.randint(-1500, 1500) if cls is OneVarLaurent else rng.randint(0, 1500)
+
+
+def random_sum(cls, ring, size, rng):
+    """An element of cls over ring with exactly size terms."""
+    keys = set()
+    while len(keys) < size:
+        keys.add(random_key(cls, rng))
+    terms = []
+    for key in keys:
+        c = ring.zero
+        while c == ring.zero:
+            c = ring.coerce(rng.choice([-3, -1, 1, 2]) if ring != QQ else
+                            Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2])))
+        terms.append((key, c))
+    if cls is UniPoly:
+        coeffs = [ring.zero] * (max(keys, default=-1) + 1)
+        for key, c in terms:
+            coeffs[key] = c
+        return UniPoly(ring, coeffs)
+    return cls(ring, terms)
+
+
+@pytest.mark.parametrize("cls", [LaurentElement, QuotientElement, OneVarLaurent, UniPoly],
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(5)], ids=repr)
+def test_format_keeps_the_single_key_print_order(cls, ring):
+    # sizes around the join's chunk of 512 terms, and the empty sum
+    rng = random.Random(f"{cls.__name__} {ring!r}")
+    for size in (0, 1, 2, 511, 512, 513, 1025):
+        e = random_sum(cls, ring, size, rng)
+        assert len(e.terms) == size
+        assert e.format() == reference_format(e), size
+        ordered = sorted(e.terms, key=REFERENCE_SORT_KEY[cls])
+        assert [k for k, _ in e.terms_sorted()] == ordered
+        if cls is LaurentElement:
+            assert e.support() == ordered
+    assert cls.zero(ring).format() == "0"
+
+
+def test_a_negative_term_opening_a_chunk_keeps_its_space():
+    # X^512 down to X^0: the constant is the 513th term, the first of the
+    # second chunk, and the only term with a bare minus is the first
+    p = UniPoly(ZZ, [-1] + [1] * 511 + [-2])
+    text = p.format()
+    assert text == reference_format(p)
+    assert text.startswith("-2*X^512 + X^511 + ") and text.endswith(" + X^2 + X - 1")
+    assert text.count("-") == 2
+
+
+def test_format_holds_little_beyond_its_result():
+    # about the text's size in chunks, and a list of keys; a sort of
+    # (key, coeff) items, a sort-key tuple per word and one join of every
+    # part hold about 4.3 times the text on S_7
+    e = standard_polynomial(7)
+    tracemalloc.start()
+    try:
+        text = e.format()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 100_000
+    assert peak - held < 2 * len(text)

@@ -17,8 +17,10 @@ from the commit before values took the last-syllable split in place of
 the subset DP, `nilbound_t3f2_mmax1_random` from the commit before every
 family placed its free entries through one helper, and the exhaustive
 prefilter answer `check_lpi_prefilter_m2f3` from the commit before an
-exhaustive counterexample took its value from its own scan, so a change
-to the internals that alters any report text shows up here.
+exhaustive counterexample took its value from its own scan, and
+`parse_s6`, 720 terms, from the commit before the formatter sorted the
+keys alone and joined the terms in chunks, so a change to the internals
+that alters any report text shows up here.
 
     python tests/test_golden_reports.py             # list the cases
     python tests/test_golden_reports.py NAME ...    # re-freeze these cases
@@ -113,6 +115,9 @@ CASES = {
     # the prefilter's answer in exhaustive mode: the identity tuple, whose
     # value is the coefficient sum times 1
     "check_lpi_prefilter_m2f3": (["check-lpi", "--expr", "1+x1*x2^-1", "--algebra", "M2@Fp:3"], 1),
+    # a normal form of 720 terms, which the formatter joins in more than
+    # one chunk
+    "parse_s6": (["parse", "--expr", "S(6)"], 0),
 }
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,11 @@ def test_exit_code_two_on_errors():
         # a confirmed counterexample whose witness has 5,700-digit entries
         ["check-lpi", "--expr", "x1^6000-1", "--algebra", "M2@ZZ", "--mode", "random",
          "--seed", "1", "--budget", "1"],
+        # descriptor digits too many for int(): a dimension is at most 6
+        # and a modulus below 2**31
+        ["check-lpi", "--expr", "x1", "--algebra", "M" + "9" * 5000 + "@Fp:2"],
+        ["check-lpi", "--expr", "x1", "--algebra", "M2@Fp:" + "9" * 5000],
+        ["parse", "--expr", "x1", "--ring", "Fp:" + "9" * 5000],
     ]
     for argv in cases:
         start = time.perf_counter()
@@ -385,6 +391,28 @@ def test_parse_s8_report_is_pinned():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1c37f73ce6c616d83cbdc6563003f7d66f50401ef5d0a417b79c961bdf353d3a")
+
+
+def test_parse_report_holds_little_beyond_the_element():
+    # the element is freed before the report is encoded; an element kept
+    # alive through the report, after a format that holds 4.3 times the
+    # normal form, peaks 6.8 times the normal form above it on S_7
+    tracemalloc.start()
+    try:
+        element = parse_element("S(7)")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(element.format())
+    del element
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli("parse", "--expr", "S(7)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["details"]["terms"] == 5040
+    assert peak < retained + 4 * size
 
 
 def test_nothing_to_search_exits_two(monkeypatch):
