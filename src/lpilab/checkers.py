@@ -19,7 +19,9 @@ evaluator:
   and `_plain_eval` confirms that value: a term-by-term fold with no
   tables, no programs and no power or inverse caches. It must stay apart
   from the programs: a defect in them would otherwise reproduce itself
-  in the confirmation;
+  in the confirmation. Search and confirmation do share mat_inverse, the
+  one test of who is a unit, so `_plain_eval` checks each inverse it
+  takes by one product;
 - group identities w = 1 are the identity search of 1 - w over the units,
   so their hits are confirmed as the hits above are;
 - the nil searches recompute their witnesses with matrix products taken
@@ -165,7 +167,8 @@ def _plain_eval(e, assignment):
     term by term, with nothing but mul, add, scale and, for negative
     exponents of a matrix, mat_inverse: no tables and no power or inverse
     caches. It confirms the hits of the compiled programs, so search and
-    confirmation never share an evaluation loop."""
+    confirmation never share an evaluation loop. The searches invert by
+    mat_inverse too, so each inverse is checked here by one product."""
     some = next(iter(assignment.values()))
     emb = embed_into(e.ring, some.ring)
     total = some.zero_like()
@@ -174,10 +177,12 @@ def _plain_eval(e, assignment):
         for g, x in w.syllables:
             m = assignment[g]
             if x < 0:
-                m = mat_inverse(m) if isinstance(m, Matrix) else None
-                if m is None:
+                inv = mat_inverse(m) if isinstance(m, Matrix) else None
+                if inv is None:
                     raise PreconditionError(f"x{g} has no inverse for its negative exponent")
-                x = -x
+                if m.mul(inv) != m.one_like():
+                    raise SolveError(f"mat_inverse of x{g} is no inverse; implementation bug")
+                m, x = inv, -x
             # square-and-multiply from the top bit down, at most 2*log2(x) + 1
             # products; not rings.power, which runs from the bottom bit up, so
             # the re-verifier shares no power routine with what it confirms
@@ -247,16 +252,18 @@ class _Tables:
     a*e_t: a*b = a*(b - p**t) + a*e_t. a -> a*e_t is linear as well, so
     the column of the products a*e_t over every a follows in the same way
     from the L products e_s*e_t. `neg` is linear too: -b = -(b - p**t) +
-    (p - 1)*e_t. `inverse` is read off `mul`: in a finite-dimensional
-    algebra a one-sided inverse is two-sided, so a is a unit of the
-    algebra exactly when its `mul` row holds the identity.
+    (p - 1)*e_t. `inverse[a]` is the index of mat_inverse of a's matrix,
+    or None when a is no unit: M, T and D are closed under inversion, so
+    the inverse of a unit is always indexed.
 
     Building costs L**2 matrix products and O(N*L) list steps up front.
-    `add`, `mul` and `inverse` are _Rows, so a row costs O(N) list steps
-    (a `mul` row the `add` rows it reads as well) the first time it is
-    read, and a scan that stops early pays only for the rows it reached.
-    `units` reads every `inverse` row the first time it is read. Every
-    entry is an item of one shared list of the N indices.
+    `add` and `mul` are _Rows, so a row costs O(N) list steps (a `mul` row
+    the `add` rows it reads as well) the first time it is read, and a scan
+    that stops early pays only for the rows it reached. `inverse` is a
+    _Rows of single entries, each one Gauss-Jordan inversion of an n x n
+    matrix, and `units` reads all N of them the first time it is read,
+    building no `mul` row. Every entry is an item of one shared list of
+    the N indices.
     """
 
     def __init__(self, algebra, cap=DEFAULT_CAP):
@@ -282,16 +289,10 @@ class _Tables:
         # columns[t][a] = a*e_t, from the products of the basis
         columns = [_linear_row(zero, [add[self.index[s.mul(t)]] for s in basis], p)
                    for t in basis]
-        self.mul = mul = _Rows(
-            lambda a: _linear_row(zero, [add[col[a]] for col in columns], p))
+        self.mul = _Rows(lambda a: _linear_row(zero, [add[col[a]] for col in columns], p))
         self.neg = _linear_row(zero, [add[(p - 1) * w] for w in weights], p)
-        self.one = one = self.index[algebra.identity()]
-
-        def inverse(a):
-            row = mul[a]
-            return ids[row.index(one)] if one in row else None
-
-        self.inverse = _Rows(inverse)
+        self.one = self.index[algebra.identity()]
+        self.inverse = _Rows(lambda a: self.index.get(mat_inverse(self.elements[a])))
 
     @functools.cached_property
     def units(self):

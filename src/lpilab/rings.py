@@ -106,12 +106,27 @@ class _Numbers:
         return str(a)
 
 
+# the most bits an entry of an integer matrix product may have: each
+# squaring of a power doubles them, so x1^(10^20) over ZZ would otherwise
+# run until memory is gone
+MAX_PRODUCT_BITS = 2**16
+
+
 class IntegerRing(_Numbers):
     """Arbitrary-precision integers. Units are 1 and -1."""
 
     is_field = False
     zero = 0
     one = 1
+
+    def dot(self, xs, ys):
+        """The sum of the products, the scalar loop of every ZZ matrix
+        product, refused past MAX_PRODUCT_BITS bits."""
+        total = sum(map(_mul, xs, ys))
+        if total.bit_length() > MAX_PRODUCT_BITS:
+            raise PreconditionError(f"an integer matrix product holds an integer of more than "
+                                    f"{MAX_PRODUCT_BITS} bits")
+        return total
 
     def coerce(self, v):
         if isinstance(v, bool) or not isinstance(v, int):

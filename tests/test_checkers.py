@@ -114,20 +114,22 @@ def test_check_lpi_cap():
 
 
 def _assert_tables_match(tb, pairs):
-    """The listed mul and add entries, and every neg, inverse and unit
-    entry, equal what Matrix arithmetic and Algebra.inverse give through
-    tb.index."""
+    """The listed mul and add entries, and every neg entry, equal what
+    Matrix arithmetic gives through tb.index. Every inverse and unit entry
+    equals what the mul rows give, a reference apart from mat_inverse: in
+    a finite-dimensional algebra a one-sided inverse is two-sided, so a is
+    a unit exactly when its mul row holds the identity, at its inverse."""
     A, E, index = tb.algebra, tb.elements, tb.index
     assert E == list(A.enumerate_elements())
     assert E[tb.zero] == A.zero() and E[tb.one] == A.identity()
     for a, b in pairs:
         assert tb.mul[a][b] == index[E[a].mul(E[b])], (A.descriptor(), a, b)
         assert tb.add[a][b] == index[E[a].add(E[b])], (A.descriptor(), a, b)
-    inverses = [A.inverse(m) for m in E]
     assert tb.neg == [index[-m] for m in E]
-    assert [tb.inverse[a] for a in range(tb.n)] == \
-        [None if inv is None else index[inv] for inv in inverses]
-    assert tb.units == [i for i, inv in enumerate(inverses) if inv is not None]
+    inverses = [tb.mul[a].index(tb.one) if tb.one in tb.mul[a] else None
+                for a in range(tb.n)]
+    assert [tb.inverse[a] for a in range(tb.n)] == inverses
+    assert tb.units == [a for a, inv in enumerate(inverses) if inv is not None]
 
 
 @pytest.mark.parametrize("descriptor",
@@ -149,7 +151,7 @@ def test_tables_match_matrix_arithmetic_sampled(descriptor):
     assert len(entries) <= tb.n
 
 
-def test_tables_build_the_rows_a_short_scan_reads():
+def test_tables_build_the_rows_a_short_scan_reads(monkeypatch):
     # the commutator's first hit comes within the first few rows: a table
     # built in full would hold 512 and 343 mul rows
     e = parse_element("x1*x2-x2*x1")
@@ -158,6 +160,14 @@ def test_tables_build_the_rows_a_short_scan_reads():
         hit, _, _ = checkers._scan(tb, e, list(range(tb.n)))
         assert hit is not None
         assert len(tb.mul) <= 16, (descriptor, len(tb.mul))
+    # on the units ground too: the units come from mat_inverse, not from
+    # the mul rows, so the group commutator's scan reads few of the 512
+    m3 = parse_algebra("M3@Fp:2")
+    tb = checkers._Tables(m3)
+    monkeypatch.setattr(checkers, "_Tables", lambda algebra, cap: tb)
+    v = check_group_identity(m3, parse_word("x1*x2*x1^-1*x2^-1"))
+    assert v.outcome == "counterexample"
+    assert len(tb.mul) <= 8, len(tb.mul)
 
 
 def test_tables_take_the_products_of_the_basis(monkeypatch):
@@ -1217,6 +1227,21 @@ def test_counterexample_needs_independent_confirmation(monkeypatch, name, target
     monkeypatch.setattr("lpilab." + (target if "." in target else "checkers." + target), stand_in)
     with pytest.raises(SolveError):
         call()
+
+
+def test_a_wrong_inverse_cannot_confirm_itself(monkeypatch):
+    # the tables' units and _plain_eval both invert by mat_inverse, so a
+    # wrong inverse would agree with itself; _plain_eval checks each one
+    # by a product, and refuses the hit
+    inverse = matrix_algebra.mat_inverse
+
+    def doubled(m):
+        inv = inverse(m)
+        return None if inv is None else inv.add(inv)
+
+    monkeypatch.setattr(checkers, "mat_inverse", doubled)
+    with pytest.raises(SolveError, match="mat_inverse of x1 is no inverse"):
+        check_group_identity(M2F3, parse_word("x1*x2*x1^-1"))
 
 
 def test_a_hit_is_compiled_once(monkeypatch):

@@ -26,7 +26,8 @@ from lpilab.matrix_algebra import (
     zeros,
 )
 from lpilab.quotient_algebra import QuotientElement, sample_element
-from lpilab.rings import QQ, ZZ, PrimeField, _kernel, ring_from_descriptor
+from lpilab.rings import (MAX_PRODUCT_BITS, QQ, ZZ, PrimeField, _kernel,
+                          ring_from_descriptor)
 from lpilab.textio import parse_element
 
 f2 = PrimeField(2)
@@ -45,6 +46,19 @@ def test_matrix_basic_arithmetic():
     assert a.power(3) == a.mul(a).mul(a)
     with pytest.raises(PreconditionError):
         a.power(-1)
+
+
+def test_integer_products_are_bounded():
+    # the first entry is a sum of two equal products: 2^(B-1), of B bits,
+    # just below the bound B, and 2^B, of B + 1 bits, just past it
+    below = Matrix(ZZ, [[2 ** (MAX_PRODUCT_BITS - 2)] * 2, [0, 0]])
+    past = Matrix(ZZ, [[2 ** (MAX_PRODUCT_BITS - 1)] * 2, [0, 0]])
+    b = Matrix(ZZ, [[1, 0], [1, 0]])
+    assert below.mul(b).entries == ((2 ** (MAX_PRODUCT_BITS - 1), 0), (0, 0))
+    assert (-below).mul(b).entries == ((-2 ** (MAX_PRODUCT_BITS - 1), 0), (0, 0))
+    for m in (past, -past):
+        with pytest.raises(PreconditionError, match=f"more than {MAX_PRODUCT_BITS} bits"):
+            m.mul(b)
 
 
 def _triple_loop_product(a, b):
@@ -456,6 +470,55 @@ def test_enumerated_matrices_equal_their_revalidated_copies(descriptor):
     elements = list(algebra.enumerate_elements())
     assert len(set(elements)) == algebra.size()
     assert all(_as_validated(algebra, m) for m in elements)
+
+
+UNIT_ALGEBRAS = [Algebra(family, n, ring) for family in "MTD" for n in (1, 2, 3)
+                 for ring in (f2, f3, PrimeField(5))]
+
+
+@pytest.mark.parametrize("algebra", [a for a in UNIT_ALGEBRAS if a.size() <= 3**9],
+                         ids=Algebra.descriptor)
+def test_enumerated_units_have_their_inverses_in_the_algebra(algebra):
+    # M, T and D are closed under mat_inverse, so nothing that asks it who
+    # is a unit needs to test the inverse's membership
+    units = 0
+    for m in algebra.enumerate_elements():
+        inv = mat_inverse(m)
+        if inv is not None:
+            units += 1
+            assert algebra.contains(inv) and m.mul(inv) == algebra.identity(), m
+    assert units > 0
+
+
+def _zz_generated_unit(algebra, rng, steps):
+    """A unit of the algebra over ZZ: a product of elementary matrices
+    1 + a*e_ij at the family's off-diagonal positions and a diagonal of
+    signs, which together generate its whole unit group."""
+    n = algebra.n
+    off_diagonal = [(i, j) for i, j in algebra.positions() if i != j]
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    u = Matrix(ZZ, [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    for _ in range(steps if off_diagonal else 0):
+        i, j = rng.choice(off_diagonal)
+        step = [[int(r == c) for c in range(n)] for r in range(n)]
+        step[i][j] = rng.randint(-3, 3)
+        u = u.mul(Matrix(ZZ, step))
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Algebra(family, n, ZZ) for family in "MTD" for n in (1, 2, 3)]),
+       st.randoms(use_true_random=False), st.integers(0, 8))
+def test_drawn_integer_units_have_their_inverses_in_the_algebra(algebra, rng, steps):
+    # a unit over ZZ has det 1 or -1, so its inverse, a polynomial in it,
+    # is integral and stays in the family
+    draws = [algebra.sample_element(rng) for _ in range(40)]
+    units = [m for m in draws if mat_inverse(m) is not None]
+    units.append(_zz_generated_unit(algebra, rng, steps))
+    for m in units:
+        inv = mat_inverse(m)
+        assert algebra.contains(m) and inv is not None and algebra.contains(inv), m
+        assert m.mul(inv) == algebra.identity()
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,14 @@ def test_exit_code_two_on_errors():
         # a confirmed counterexample whose witness has 5,700-digit entries
         ["check-lpi", "--expr", "x1^6000-1", "--algebra", "M2@ZZ", "--mode", "random",
          "--seed", "1", "--budget", "1"],
+        # integer matrix powers too large to compute: they used to run until
+        # memory was gone, and stop at the product bound
+        ["check-lpi", "--expr", "x1^100000000000000000000-1", "--algebra", "M2@ZZ",
+         "--mode", "random", "--seed", "1", "--budget", "1"],
+        ["check-gi", "--word", "x1^100000000000000000000", "--algebra", "M2@ZZ",
+         "--mode", "random", "--seed", "2", "--budget", "1"],
+        ["check-gi", "--word", "x1^100000000000000000000", "--algebra", "M2@ZZ",
+         "--mode", "random", "--seed", "3", "--budget", "1"],
         # descriptor digits too many for int(): a dimension is at most 6
         # and a modulus below 2**31
         ["check-lpi", "--expr", "x1", "--algebra", "M" + "9" * 5000 + "@Fp:2"],
