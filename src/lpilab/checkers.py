@@ -239,7 +239,7 @@ class _Rows(dict):
 class _Tables:
     """A finite algebra flattened to integer indices.
 
-    Products, sums and negations become table lookups, which is what lets
+    Products, sums and scalings become table lookups, which is what lets
     pure Python sweep tens of thousands of tuples in a second.
 
     An index is the base-p number whose L digits are the element's free
@@ -251,8 +251,8 @@ class _Tables:
     time. b -> a*b is linear, so a row of `mul` needs only the L products
     a*e_t: a*b = a*(b - p**t) + a*e_t. a -> a*e_t is linear as well, so
     the column of the products a*e_t over every a follows in the same way
-    from the L products e_s*e_t. `neg` is linear too: -b = -(b - p**t) +
-    (p - 1)*e_t. `inverse[a]` is the index of mat_inverse of a's matrix,
+    from the L products e_s*e_t. `scale(c)` is the `mul` row of c times
+    the identity. `inverse[a]` is the index of mat_inverse of a's matrix,
     or None when a is no unit: M, T and D are closed under inversion, so
     the inverse of a unit is always indexed.
 
@@ -290,7 +290,6 @@ class _Tables:
         columns = [_linear_row(zero, [add[self.index[s.mul(t)]] for s in basis], p)
                    for t in basis]
         self.mul = _Rows(lambda a: _linear_row(zero, [add[col[a]] for col in columns], p))
-        self.neg = _linear_row(zero, [add[(p - 1) * w] for w in weights], p)
         self.one = self.index[algebra.identity()]
         self.inverse = _Rows(lambda a: self.index.get(mat_inverse(self.elements[a])))
 
@@ -298,8 +297,8 @@ class _Tables:
     def units(self):
         return [i for i in self.ids if self.inverse[i] is not None]
 
-    def scalar_index(self, ring_value):
-        return self.index[self.algebra.identity().scale(ring_value)]
+    def scale(self, c):
+        return self.mul[self.index[self.algebra.identity().scale(c)]]
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +902,10 @@ def bounds_from_d(d, q=2):
     """The size and dimension bounds derived from a witness degree d:
     |K| <= 2d, and n <= 2 log_q(2d) + 2 computed by integer comparisons
     (the largest n with q^(n-2) <= (2d)^2), no floating point anywhere."""
-    if not isinstance(d, int) or d < 1:
+    # exactly int: a bool equals 0 or 1 but prints as False or True
+    if type(d) is not int or d < 1:
         raise PreconditionError("d must be a positive integer")
-    if not isinstance(q, int) or q < 2:
+    if type(q) is not int or q < 2:
         raise PreconditionError("q must be an integer >= 2")
     target = 4 * d * d
     k = 0

@@ -91,7 +91,7 @@ class LaurentElement(FormalSum):
         """The value of this element at an assignment of algebra elements.
 
         The assignment is a tuple (x1 first) or a dict keyed by generator
-        index, and its values need mul, add, negation, scale, one_like and
+        index, and its values need mul, add, scale, one_like and
         zero_like. inverse(g, value) is asked once for each generator that
         appears with a negative exponent, in order of first appearance,
         and must return the inverse of value or raise. The value comes
@@ -335,14 +335,12 @@ class _Calls:
 def _value_ops(like):
     """The interface of the index tables (checkers._Tables) over values of
     the kind of like, a Matrix or a QuotientElement: mul[a][b] is a.mul(b),
-    add[a][b] is a.add(b), neg[a] is -a, and mul[scalar_index(c)][v] is
-    v.scale(c). The caller fills inverse, a map from value to inverse."""
+    add[a][b] is a.add(b) and scale(c)[v] is v.scale(c). The caller fills
+    inverse, a map from value to inverse."""
     return SimpleNamespace(
         ring=like.ring, one=like.one_like(), zero=like.zero_like(), inverse={},
         mul=_Calls(lambda a: _Calls(a.mul)), add=_Calls(lambda a: _Calls(a.add)),
-        neg=_Calls(operator.neg),
-        # c times the identity as a left factor: its product scales
-        scalar_index=lambda c: SimpleNamespace(mul=lambda v: v.scale(c)))
+        scale=lambda c: _Calls(lambda v: v.scale(c)))
 
 
 def _staged_program(ops, e, last=None):
@@ -381,8 +379,8 @@ def _staged_program(ops, e, last=None):
     enter(d, x) caches the powers of variable d that e uses, inverses
     included, each by square-and-multiply from its first factor, and then
     computes every node at depth d in creation order; value() reads the
-    root. A scalar is applied as a negation or a scale, never as a
-    product, and no product by the identity is ever taken."""
+    root. A scalar c, -1 included, is applied through ops.scale(c), never
+    as a product, and no product by the identity is ever taken."""
     if last is None:
         # _value_ops calls for its products, where the tables look them up
         last = isinstance(ops.mul, _Calls)
@@ -390,8 +388,8 @@ def _staged_program(ops, e, last=None):
     variables = sorted(e.variables())
     depth_of = {g: d for d, g in enumerate(variables)}
     image = e.map_ring(R, embed_into(e.ring, R))
-    MUL, ADD, NEG, INV = ops.mul, ops.add, ops.neg, ops.inverse
-    ONE, MINUS_ONE = R.one, R.neg(R.one)
+    MUL, ADD, INV = ops.mul, ops.add, ops.inverse
+    ONE = R.one
     # V[slot] is a node's value and depth[slot] its depth, -1 for a constant
     V, depth = [], []
     powers = [{} for _ in variables]  # powers[d]: exponent of variable d -> slot
@@ -403,14 +401,11 @@ def _staged_program(ops, e, last=None):
         depth.append(d)
         return len(V) - 1
 
-    def scaler(c):
-        return NEG if c == MINUS_ONE else MUL[ops.scalar_index(c)]
-
     def scale_node(child, c):
         """A node at child's depth: child's value times the scalar c."""
         d = depth[child]
         slot = new_slot(d)
-        steps[d].append((slot, scaler(c), child, None))
+        steps[d].append((slot, ops.scale(c), child, None))
         return slot
 
     def scaled(P, s):
@@ -470,7 +465,7 @@ def _staged_program(ops, e, last=None):
         if len(P) == 1:
             (w, c), = P.items()
             if not w:
-                return new_slot(-1, ops.one if c == ONE else scaler(c)[ops.one])
+                return new_slot(-1, ops.one if c == ONE else ops.scale(c)[ops.one])
             if len(w) == 1:
                 (g, a), = w
                 d = depth_of[g]

@@ -234,7 +234,8 @@ class Algebra:
     def __init__(self, family, n, ring):
         if family not in _FAMILIES:
             raise PreconditionError(f"unknown family {family!r}; use M, T or D")
-        if not isinstance(n, int) or not 1 <= n <= DIMENSION_CAP:
+        # exactly int: a bool equals 0 or 1 but prints as False or True
+        if type(n) is not int or not 1 <= n <= DIMENSION_CAP:
             raise PreconditionError(f"dimension must lie in [1, {DIMENSION_CAP}]")
         self.family = family
         self.n = n

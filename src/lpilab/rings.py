@@ -283,19 +283,20 @@ def ring_from_descriptor(text):
     raise PreconditionError(f"unknown ring literal: {text!r}")
 
 
-def power(x, k, one):
-    """x**k for k >= 0 through x.mul, one when k is 0, by square-and-multiply
-    from the first factor: at most 2 * log2(k) products, and power(x, 1, one)
-    is x itself."""
+def power(x, k, one, mul=None):
+    """x**k for k >= 0, one when k is 0, by square-and-multiply from the
+    first factor: at most 2 * log2(k) products, and power(x, 1, one) is x
+    itself. Each product a*b is mul(a, b), by default a.mul(b)."""
     if k < 0:
         raise PreconditionError("power exponent must be >= 0")
+    mul = mul or (lambda a, b: a.mul(b))
     acc = None
     while k:
         if k & 1:
-            acc = x if acc is None else acc.mul(x)
+            acc = x if acc is None else mul(acc, x)
         k >>= 1
         if k:
-            x = x.mul(x)
+            x = mul(x, x)
     return one if acc is None else acc
 
 
@@ -676,32 +677,28 @@ def vandermonde_solve(ring, points, values):
     if len(set(pts)) != len(pts):
         raise PreconditionError("repeated interpolation points")
     n = len(pts)
-    vrows = []
-    for x in pts:
+    first = values[0]
+    matrices = hasattr(first, "entries")
+    if matrices:
+        # matrix values: each entry position is a right-hand side of its own
+        if any(m.ring != ring for m in values):
+            raise RingMismatch("value matrix ring differs from solve ring")
+        dim = range(first.n)
+        columns = [[m.entries[r][s] for m in values] for r in dim for s in dim]
+    else:
+        columns = [values]
+    # [V | right-hand sides]: row j is 1, x_j, ..., x_j**(n-1), then the values at x_j
+    rows = []
+    for j, x in enumerate(pts):
         row = [field.one]
         for _ in range(n - 1):
             row.append(field.mul(row[-1], x))
-        vrows.append(row)
-    W = _invert_square(field, vrows)
-    if W is None:
+        rows.append(row + [lift(ring.coerce(col[j])) for col in columns])
+    if len(_row_reduce(field, rows, n)) < n:
         raise SolveError("singular system")
-
-    def combine(vals):
-        vals = [lift(ring.coerce(v)) for v in vals]
-        out = []
-        for i in range(n):
-            acc = field.zero
-            for j, v in enumerate(vals):
-                acc = field.add(acc, field.mul(W[i][j], v))
-            out.append(_restore(ring, field, acc))
-        return out
-
-    first = values[0]
-    if not hasattr(first, "entries"):
-        return combine(values)
-    # matrix values: each entry position is a scalar system of its own
-    if any(m.ring != ring for m in values):
-        raise RingMismatch("value matrix ring differs from solve ring")
-    dim = range(first.n)
-    cells = [[combine([m.entries[r][s] for m in values]) for s in dim] for r in dim]
-    return [type(first)(ring, [[cells[r][s][i] for s in dim] for r in dim]) for i in range(n)]
+    # reduced, row i holds component i of each right-hand side past column n
+    solved = [[_restore(ring, field, row[n + c]) for row in rows] for c in range(len(columns))]
+    if not matrices:
+        return solved[0]
+    return [type(first)(ring, [[solved[r * first.n + s][i] for s in dim] for r in dim])
+            for i in range(n)]

@@ -155,20 +155,6 @@ def _bits(e):
     return max((c.numerator.bit_length() for c in e.terms.values()), default=0)
 
 
-class _Checked:
-    """An element whose products are checked at tok, so that the shared
-    square-and-multiply checks each step of a power."""
-
-    __slots__ = ("value", "tok")
-
-    def __init__(self, value, tok):
-        self.value = value
-        self.tok = tok
-
-    def mul(self, other):
-        return _Checked(_checked_mul(self.value, other.value, self.tok), self.tok)
-
-
 class _Parser:
     def __init__(self, text, ring, context):
         self.tokens = tokenize(text)
@@ -261,7 +247,7 @@ class _Parser:
             if top.bit_length() > MAX_INT_BITS:
                 raise ParseError(f"a power could build an exponent of {top.bit_length()} bits, "
                                  f"over the limit of {MAX_INT_BITS}", caret.line, caret.col)
-        return power(_Checked(a, caret), k, _Checked(a.one_like(), caret)).value
+        return power(a, k, a.one_like(), lambda x, y: _checked_mul(x, y, caret))
 
     def atom(self):
         tok = self.peek()

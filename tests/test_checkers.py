@@ -114,8 +114,8 @@ def test_check_lpi_cap():
 
 
 def _assert_tables_match(tb, pairs):
-    """The listed mul and add entries, and every neg entry, equal what
-    Matrix arithmetic gives through tb.index. Every inverse and unit entry
+    """The listed mul and add entries, and every entry of scale(-1), equal
+    what Matrix arithmetic gives through tb.index. Every inverse and unit entry
     equals what the mul rows give, a reference apart from mat_inverse: in
     a finite-dimensional algebra a one-sided inverse is two-sided, so a is
     a unit exactly when its mul row holds the identity, at its inverse."""
@@ -125,7 +125,7 @@ def _assert_tables_match(tb, pairs):
     for a, b in pairs:
         assert tb.mul[a][b] == index[E[a].mul(E[b])], (A.descriptor(), a, b)
         assert tb.add[a][b] == index[E[a].add(E[b])], (A.descriptor(), a, b)
-    assert tb.neg == [index[-m] for m in E]
+    assert tb.scale(tb.p - 1) == [index[-m] for m in E]
     inverses = [tb.mul[a].index(tb.one) if tb.one in tb.mul[a] else None
                 for a in range(tb.n)]
     assert [tb.inverse[a] for a in range(tb.n)] == inverses
@@ -147,7 +147,7 @@ def test_tables_match_matrix_arithmetic_sampled(descriptor):
     # every entry is one of the n shared index objects, not a fresh int
     entries = {id(x) for rows in (tb.mul, tb.add) for a in range(tb.n) for x in rows[a]}
     inverses = [tb.inverse[a] for a in range(tb.n)]
-    entries |= {id(x) for x in tb.neg + tb.units + inverses if x is not None}
+    entries |= {id(x) for x in tb.scale(tb.p - 1) + tb.units + inverses if x is not None}
     assert len(entries) <= tb.n
 
 
@@ -277,7 +277,7 @@ def _standard_program(ops, k):
         if m > 1:
             steps[elems[-1]].append((mask, [(mask ^ (1 << j), 1 << j, (m - t) % 2 == 1)
                                             for t, j in enumerate(elems, start=1)]))
-    MUL, ADD, NEG = ops.mul, ops.add, ops.neg
+    MUL, ADD, NEG = ops.mul, ops.add, ops.scale(-1)
     D = [None] * (1 << k)
 
     def enter(d, idx):
@@ -611,9 +611,10 @@ def _leaf_products(tb, e, program):
     """The products that entering the last variable and reading the value
     take once every other variable is entered."""
     rng = random.Random(e.format())
-    counted = _CountedRows(tb.mul)
+    counted, scale = _CountedRows(tb.mul), tb.scale
     tb = copy.copy(tb)
-    tb.mul = counted
+    # a scaling is no product: the copy scales through the uncounted rows
+    tb.mul, tb.scale = counted, scale
     nvars, enter, value = program(tb, e)
     for d in range(nvars - 1):
         enter(d, rng.randrange(tb.n))
@@ -624,9 +625,9 @@ def _leaf_products(tb, e, program):
 
 
 def _full_pass_counts(e, like, program):
-    """The products, sums and negations that one full pass of e's program
+    """The products, sums and scalings that one full pass of e's program
     over values of the kind of like takes, every variable set to like."""
-    counts = {"mul": 0, "add": 0, "neg": 0}
+    counts = {"mul": 0, "add": 0, "scale": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -637,7 +638,7 @@ def _full_pass_counts(e, like, program):
     ops = group_algebra._value_ops(like)
     ops.mul = _Calls(lambda a: _Calls(counted("mul", a.mul)))
     ops.add = _Calls(lambda a: _Calls(counted("add", a.add)))
-    ops.neg = _Calls(counted("neg", lambda a: -a))
+    ops.scale = lambda c: _Calls(counted("scale", lambda v: v.scale(c)))
     nvars, enter, value = program(ops, e)
     for d in range(nvars):
         enter(d, like)
@@ -669,7 +670,7 @@ def test_values_take_the_subset_dp_products_on_standard_polynomials():
         values = _full_pass_counts(s, like, group_algebra._staged_program)
         dp = _full_pass_counts(s, like, lambda ops, e: _standard_program(ops, k))
         assert values["mul"] == dp["mul"] == k * 2**(k - 1) - k, k
-        assert values["add"] == dp["add"] and values["neg"] <= dp["neg"], k
+        assert values["add"] == dp["add"] and values["scale"] <= dp["scale"], k
 
 
 def test_values_take_the_last_syllable_split_and_tables_the_leaf_split():
@@ -1090,6 +1091,19 @@ def test_bounds_from_d():
         bounds_from_d(0)
     with pytest.raises(PreconditionError):
         bounds_from_d(3, q=1)
+
+
+def test_bools_are_no_integer_parameters():
+    # True equals 1, so a range check alone lets it through: the algebra
+    # would be 'MTrue@Fp:2' and d = True would give (2, 4)
+    with pytest.raises(PreconditionError, match="dimension must lie in"):
+        matrix_algebra.Algebra("M", True, PrimeField(2))
+    with pytest.raises(PreconditionError, match="dimension must lie in"):
+        al_verify(True, 2)
+    with pytest.raises(PreconditionError, match="d must be a positive integer"):
+        bounds_from_d(True)
+    with pytest.raises(PreconditionError, match="q must be an integer"):
+        bounds_from_d(3, q=True)
 
 
 def test_s3_expand_report():

@@ -13,6 +13,9 @@ from lpilab.rings import (
     ZZ,
     PrimeField,
     UniPoly,
+    _field_for,
+    _invert_square,
+    _restore,
     embed_into,
     ring_from_descriptor,
     unipoly_eval,
@@ -282,6 +285,103 @@ def test_vandermonde_matrix_values():
         values.append(a.scale(x).add(b.scale(x2)).add(a.one_like()))
     sol = vandermonde_solve(f11, pts, values)
     assert sol == [a.one_like(), a, b]
+
+
+def ref_vandermonde_solve(ring, points, values):
+    """The solve by inverse and multiply, the reference for the one row
+    reduction of vandermonde_solve: invert V, then multiply V^-1 into the
+    values, one matrix entry position at a time."""
+    if len(points) != len(values):
+        raise PreconditionError("points and values differ in length")
+    if not points:
+        raise PreconditionError("empty system")
+    field, lift = _field_for(ring)
+    pts = [lift(ring.coerce(x)) for x in points]
+    if len(set(pts)) != len(pts):
+        raise PreconditionError("repeated interpolation points")
+    n = len(pts)
+    vrows = []
+    for x in pts:
+        row = [field.one]
+        for _ in range(n - 1):
+            row.append(field.mul(row[-1], x))
+        vrows.append(row)
+    W = _invert_square(field, vrows)
+    if W is None:
+        raise SolveError("singular system")
+
+    def combine(vals):
+        vals = [lift(ring.coerce(v)) for v in vals]
+        out = []
+        for i in range(n):
+            acc = field.zero
+            for j, v in enumerate(vals):
+                acc = field.add(acc, field.mul(W[i][j], v))
+            out.append(_restore(ring, field, acc))
+        return out
+
+    first = values[0]
+    if not hasattr(first, "entries"):
+        return combine(values)
+    if any(m.ring != ring for m in values):
+        raise RingMismatch("value matrix ring differs from solve ring")
+    dim = range(first.n)
+    cells = [[combine([m.entries[r][s] for m in values]) for s in dim] for r in dim]
+    return [type(first)(ring, [[cells[r][s][i] for s in dim] for r in dim]) for i in range(n)]
+
+
+@st.composite
+def vandermonde_cases(draw):
+    """A ring, 1 to 6 distinct points, and the values at them of components
+    that are scalars or 2x2 or 3x3 matrices; sometimes one value entry is
+    moved, which over ZZ mostly leaves a component non-integral."""
+    from lpilab.matrix_algebra import Matrix
+
+    ring = draw(st.sampled_from([ZZ, PrimeField(7), PrimeField(101)]))
+    span = range(-5, 6) if ring == ZZ else range(ring.p)
+    points = draw(st.lists(st.sampled_from(span), min_size=1, max_size=6, unique=True))
+    dim = draw(st.sampled_from([None, 2, 3]))
+    entry = st.integers(-9, 9)
+    if dim is None:
+        components = [ring.coerce(draw(entry)) for _ in points]
+    else:
+        components = [Matrix(ring, [[draw(entry) for _ in range(dim)] for _ in range(dim)])
+                      for _ in points]
+    values = []
+    for x in points:
+        # Horner from the last component: c0 + x (c1 + x (c2 + ...))
+        acc = components[-1]
+        for c in reversed(components[:-1]):
+            acc = (ring.add(c, ring.mul(ring.coerce(x), acc)) if dim is None
+                   else c.add(acc.scale(x)))
+        values.append(acc)
+    moved = draw(st.booleans())
+    if moved:
+        j = draw(st.integers(0, len(points) - 1))
+        if dim is None:
+            values[j] = ring.add(values[j], ring.one)
+        else:
+            rows = [list(row) for row in values[j].entries]
+            rows[0][dim - 1] = ring.add(rows[0][dim - 1], ring.one)
+            values[j] = Matrix(ring, rows)
+    return ring, points, values, None if moved else components
+
+
+def _solved(solve, ring, points, values):
+    try:
+        return solve(ring, points, values)
+    except SolveError as e:
+        return "SolveError", str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vandermonde_cases())
+def test_vandermonde_solve_matches_the_inverse_then_multiply_reference(case):
+    ring, points, values, components = case
+    solved = _solved(vandermonde_solve, ring, points, values)
+    assert solved == _solved(ref_vandermonde_solve, ring, points, values)
+    if components is not None:
+        assert solved == components
 
 
 def test_ring_axioms_seeded():
