@@ -466,7 +466,7 @@ def _identity_search(t0, algebra, e, ground_kind, mode, budget, seed, cap, detai
         if ground_kind == "elements":
             return algebra.sample_element(rng)
         # the unit comes with the inverse that its test computed
-        m, inv = algebra.sample_unit_with_inverse(rng)
+        m, inv = algebra.sample_unit(rng)
         inverses[m] = inv
         return m
 
@@ -956,24 +956,23 @@ def s3_expand():
     }
 
 
+IdempotentSurvey = namedtuple("IdempotentSurvey", "idempotents noncentral")
+
+
 def idempotent_centrality(algebra, cap=DEFAULT_CAP):
-    """All noncentral idempotents, each with an element it fails to
-    commute with. A diagnostic survey: central output means central
-    within this finite algebra, nothing more."""
-    return idempotent_survey(algebra, cap)[1]
-
-
-def idempotent_survey(algebra, cap=DEFAULT_CAP):
-    """(the number of idempotents, idempotent_centrality's list), enumerating once."""
+    """The number of idempotents, and every noncentral one paired with an
+    element it fails to commute with, from one enumeration. A diagnostic
+    survey: central output means central within this finite algebra,
+    nothing more."""
     elements = list(algebra.enumerate_elements(cap))
     idempotents = [e for e in elements if e.mul(e) == e]
-    violators = []
+    noncentral = []
     for e in idempotents:
         for m in elements:
             if e.mul(m) != m.mul(e):
-                violators.append((e, m))
+                noncentral.append((e, m))
                 break
-    return len(idempotents), violators
+    return IdempotentSurvey(len(idempotents), noncentral)
 
 
 def quotient_pi_check(n, samples=DEFAULT_BUDGET, seed=None, ring=ZZ):

@@ -72,9 +72,6 @@ class Word:
     def variables(self):
         return {g for g, _ in self.syllables}
 
-    def max_generator(self):
-        return max((g for g, _ in self.syllables), default=0)
-
     def exp_sum(self, var):
         return sum(e for g, e in self.syllables if g == var)
 

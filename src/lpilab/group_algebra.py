@@ -59,10 +59,6 @@ class LaurentElement(FormalSum):
     def from_word(cls, ring, word, coeff=1):
         return cls(ring, [(word, ring.from_int(coeff) if isinstance(coeff, int) else coeff)])
 
-    @classmethod
-    def constant(cls, ring, c):
-        return cls(ring, [(IDENTITY, c)])
-
     def coefficient(self, word):
         return self.terms.get(word, self.ring.zero)
 
@@ -74,9 +70,6 @@ class LaurentElement(FormalSum):
         for w in self.terms:
             out |= w.variables()
         return out
-
-    def max_variable(self):
-        return max((w.max_generator() for w in self.terms), default=0)
 
     def has_negative_exponent(self):
         return any(e < 0 for w in self.terms for _, e in w.syllables)

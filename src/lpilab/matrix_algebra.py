@@ -14,7 +14,7 @@ artifact across runs, so reports can be diffed.
 
 import itertools
 
-from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch
+from .errors import CapExceeded, NonUnit, PreconditionError, RingMismatch, SolveError
 from .rings import PrimeField, _field_for, _invert_square, _kernel, power, ring_from_descriptor
 
 DEFAULT_CAP = 2**24
@@ -168,19 +168,6 @@ def matrix_unit(ring, n, i, j):
     )
 
 
-def parse_matrix(ring, text):
-    """Read the literal syntax [[0,1],[0,0]]."""
-    import ast  # only here, so that importing the package skips it
-
-    try:
-        data = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise PreconditionError(f"bad matrix literal: {text!r}") from exc
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise PreconditionError(f"bad matrix literal: {text!r}")
-    return Matrix(ring, data)
-
-
 def det(m):
     """Cofactor expansion; exact in any ring, fine at the dimensions we cap."""
     n = m.n
@@ -313,10 +300,7 @@ class Algebra:
         return self.ring.from_int(rng.randint(-INT_SAMPLE_BOUND, INT_SAMPLE_BOUND))
 
     def sample_unit(self, rng):
-        return self.sample_unit_with_inverse(rng)[0]
-
-    def sample_unit_with_inverse(self, rng):
-        """A random unit, drawn as sample_unit draws it, and its inverse."""
+        """(a random unit, the inverse that its unit test computed)."""
         for _ in range(SAMPLE_RETRIES):
             m = self.sample_element(rng)
             inv = mat_inverse(m)
@@ -346,7 +330,7 @@ class Algebra:
             w[i] = R.neg(R.mul(R.dot(w, v), R.inv(v[i])))
             m = self._place([R.mul(v[r], w[c]) for r, c in self._positions])
             if not m.mul(m).is_zero():
-                raise PreconditionError("square-zero construction failed")
+                raise SolveError("square-zero construction failed; implementation bug")
             return m
         upper = [(i, j) for i, j in self._positions if j > i]
         for _ in range(SAMPLE_RETRIES):

@@ -543,31 +543,6 @@ class UniPoly(FormalSum):
     def coeff(self, i):
         return self.terms.get(i, self.ring.zero)
 
-    def divmod_by(self, divisor):
-        """Long division. The divisor's leading coefficient must be a unit."""
-        self._same_ring(divisor)
-        if divisor.is_zero():
-            raise PreconditionError("division by the zero polynomial")
-        R = self.ring
-        lead = divisor.coeffs[-1]
-        if not R.is_unit(lead):
-            raise PreconditionError("leading coefficient of divisor is not a unit")
-        lead_inv = R.inv(lead)
-        rem = list(self.coeffs)
-        dd = len(divisor.coeffs) - 1
-        if len(rem) <= dd:
-            return UniPoly(R), UniPoly(R, rem)
-        quot = [R.zero] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == R.zero:
-                continue
-            q = R.mul(c, lead_inv)
-            quot[k - dd] = q
-            for i, b in enumerate(divisor.coeffs):
-                rem[k - dd + i] = R.sub(rem[k - dd + i], R.mul(q, b))
-        return UniPoly(R, quot), UniPoly(R, rem)
-
 
 def unipoly_eval(g, v, ring=None):
     """Evaluate g at v, where v is a ring scalar or an algebra element.

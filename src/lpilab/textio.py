@@ -533,12 +533,12 @@ def _cmd_s3_expand(args):
 
 def _cmd_idempotents(args):
     algebra = parse_algebra(args.algebra)
-    total, violators = checkers.idempotent_survey(algebra, cap=args.cap)
+    total, noncentral = checkers.idempotent_centrality(algebra, cap=args.cap)
     return _emit_ok(args, {
         "idempotents": total,
-        "noncentral_count": len(violators),
+        "noncentral_count": len(noncentral),
         "noncentral": [
-            {"idempotent": e, "noncommuting": m} for e, m in violators
+            {"idempotent": e, "noncommuting": m} for e, m in noncentral
         ],
     })
 

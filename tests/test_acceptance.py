@@ -291,7 +291,7 @@ def test_criterion_14_property_suites():
     rng = random.Random(303)
     alg = parse_algebra("M2@Fp:5")
     for _ in range(N):
-        mats = {1: alg.sample_unit(rng), 2: alg.sample_unit(rng)}
+        mats = {1: alg.sample_unit(rng)[0], 2: alg.sample_unit(rng)[0]}
         elems = []
         for _k in range(2):
             terms = []

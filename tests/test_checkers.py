@@ -1122,8 +1122,9 @@ def test_s3_expand_report():
 
 
 def test_idempotent_centrality():
-    violators = idempotent_centrality(M2F2)
+    total, violators = idempotent_centrality(M2F2)
     idems = {e for e, _ in violators}
+    assert total == 8
     assert len(violators) == 6
     assert matrix_unit(f2, 2, 1, 1) in idems
     assert M2F2.identity() not in idems

@@ -72,7 +72,6 @@ def test_exp_sums():
     assert w.exp_sum_total() == 2
     assert w.letter_length() == 4
     assert w.variables() == {1, 2}
-    assert w.max_generator() == 2
 
 
 def test_substitute_powers_each_occurrence():

@@ -497,6 +497,33 @@ def test_every_subcommand_has_a_pinned_config():
     assert {argv[0] for argv, _ in CONFIGS} == set(commands)
 
 
+def test_the_cli_runs_the_public_names(monkeypatch):
+    # a tracer that wraps the public names sees the work the CLI does
+    from lpilab import checkers
+    from lpilab.matrix_algebra import Algebra
+
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(checkers, "idempotent_centrality")
+    counted(Algebra, "sample_unit")
+    code, _, err = run_cli("idempotents", "--algebra", "M2@Fp:2")
+    assert code == 0, err
+    code, _, err = run_cli("check-gi", "--word", "x1*x2*x1^-1*x2^-1", "--algebra", "M2@Fp:3",
+                           "--mode", "random", "--seed", "5", "--budget", "300")
+    assert code == 1, err
+    assert calls.get("idempotent_centrality", 0) >= 1
+    assert calls.get("sample_unit", 0) >= 1
+
+
 def test_power_takes_logarithmically_many_products(monkeypatch):
     calls = []
     mul = LaurentElement.mul
